@@ -2,7 +2,8 @@
 
 One figure per construction: the minimal seed set, an infecting edge, a
 slice union before/after, the first-column repack before/after, and a
-maximal shift before/after.
+maximal shift before/after. The gallery is tracked; tests rebuild it with
+`figures()` and require every file to match byte for byte.
 """
 
 import sys
@@ -15,49 +16,60 @@ from boxperc.render import ascii_grid, svg_grid
 from boxperc.transforms import repack_first_column
 
 OUT = Path(__file__).resolve().parent / "out"
-OUT.mkdir(exist_ok=True)
-
-
-def save(name, svg):
-    path = OUT / name
-    path.write_text(svg)
-    print("wrote", path)
 
 
 # The minimal percolating seed of a 5 x 6 grid: first row plus first column.
-seed = l_set(GridShape((5, 6)), Params(2, 2))
-save("seed_set_5x6.svg", svg_grid(seed))
-print(ascii_grid(seed))
+SEED = l_set(GridShape((5, 6)), Params(2, 2))
 
 # An infecting edge: three infected rectangle corners and the vertex they
 # infect, highlighted.
-a = CellSet.from_cells(GridShape((3, 6)), [(1, 2), (1, 5), (2, 1), (2, 2), (3, 2)])
-e = Edge(((1, 2), (2, 5)))
-save("infecting_edge_3x6.svg", svg_grid(a, edge=e))
-print(ascii_grid(a, edge=e))
+INFECTING = CellSet.from_cells(GridShape((3, 6)), [(1, 2), (1, 5), (2, 1), (2, 2), (3, 2)])
+INFECTING_EDGE = Edge(((1, 2), (2, 5)))
 
 # A union of two rows: the merged grid is one row shorter.
-b = CellSet.from_cells(GridShape((4, 5)), [(1, 1), (1, 3), (2, 3), (2, 5), (3, 2), (4, 4)])
-save("union_before_4x5.svg", svg_grid(b))
-save("union_after_3x5.svg", svg_grid(union_slices(b, 1, 3, 4)))
+UNION = CellSet.from_cells(GridShape((4, 5)), [(1, 1), (1, 3), (2, 3), (2, 5), (3, 2), (4, 4)])
 
 # The first-column repack at t = 2: each row holding column 1 but not
 # column 2 moves its first cell right.
-c = CellSet.from_cells(
+REPACK = CellSet.from_cells(
     GridShape((4, 5)),
     [(1, 1), (1, 4), (2, 1), (2, 2), (3, 1), (4, 1), (4, 3), (4, 5)],
 )
-save("repack_before_4x5.svg", svg_grid(c))
-save("repack_after_4x5.svg", svg_grid(repack_first_column(c, Params(2, 2))))
 
 # A maximal shift at t = 3: the missing corner of a 3 x 3 block comes in,
 # the maximal corner goes out.
-d = CellSet.full(GridShape((4, 4))).without_cells(
+SHIFTED = CellSet.full(GridShape((4, 4))).without_cells(
     [(1, 1), (1, 4), (4, 1), (2, 4), (4, 2)]
 )
-edge = Edge(((1, 2, 3), (1, 2, 3)))
-save("maximal_shift_before_4x4.svg", svg_grid(d, edge=edge))
-moved, record = shift(d, edge, edge.max_corner())
-save("maximal_shift_after_4x4.svg", svg_grid(moved, edge=edge))
-print(f"shift brought {record.infected} in and {record.removed} out "
-      f"(maximal={record.maximal})")
+SHIFT_EDGE = Edge(((1, 2, 3), (1, 2, 3)))
+MOVED, SHIFT_RECORD = shift(SHIFTED, SHIFT_EDGE, SHIFT_EDGE.max_corner())
+
+
+def figures() -> dict[str, str]:
+    """File name -> SVG text for every figure of the gallery."""
+    return {
+        "seed_set_5x6.svg": svg_grid(SEED),
+        "infecting_edge_3x6.svg": svg_grid(INFECTING, edge=INFECTING_EDGE),
+        "union_before_4x5.svg": svg_grid(UNION),
+        "union_after_3x5.svg": svg_grid(union_slices(UNION, 1, 3, 4)),
+        "repack_before_4x5.svg": svg_grid(REPACK),
+        "repack_after_4x5.svg": svg_grid(repack_first_column(REPACK, Params(2, 2))),
+        "maximal_shift_before_4x4.svg": svg_grid(SHIFTED, edge=SHIFT_EDGE),
+        "maximal_shift_after_4x4.svg": svg_grid(MOVED, edge=SHIFT_EDGE),
+    }
+
+
+def main() -> None:
+    OUT.mkdir(exist_ok=True)
+    for name, svg in figures().items():
+        path = OUT / name
+        path.write_text(svg)
+        print("wrote", path)
+    print(ascii_grid(SEED))
+    print(ascii_grid(INFECTING, edge=INFECTING_EDGE))
+    print(f"shift brought {SHIFT_RECORD.infected} in and {SHIFT_RECORD.removed} out "
+          f"(maximal={SHIFT_RECORD.maximal})")
+
+
+if __name__ == "__main__":
+    main()

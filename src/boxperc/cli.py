@@ -150,10 +150,12 @@ def _cmd_percolate(args) -> int:
 def _cmd_check(args) -> int:
     a, params = jsonio.parse_instance(_read_input(args.input))
     closed, trace = engine.full_form(a, params)
+    # A set covers the grid in one phase exactly when its closure is full
+    # after at most one phase.
     doc = {
         "cardinality": len(a),
-        "percolates": engine.percolates(a, params),
-        "one_phase": engine.one_phase(a, params),
+        "percolates": closed.is_full(),
+        "one_phase": closed.is_full() and trace.f <= 1,
         "closure_cardinality": len(closed),
         "phases": trace.f,
     }

@@ -6,20 +6,29 @@ infectable vertex at once; step iteration adds one at a time. Both reach
 the same fixpoint (the closure), which is what `full_form` computes. A set
 percolates when its closure covers the whole grid.
 
-The hyperedge list of a (shape, params) pair is enumerated once, sorted
-into a documented deterministic order, converted to bitmasks, and cached.
-This is a desk-scale engine: grids whose edge count would exceed
-EDGE_TABLE_CAP are rejected up front.
+Each (shape, params) pair has one cached edge table: every hyperedge's
+per-axis index sets and its occupancy bitmask, generated directly in the
+documented edge order (varying axes ascending, then the varying value
+tuples, then the fixed coordinates). Masks are folded from row-major
+strides, without visiting vertices one by one. The phase scans, closures
+and predicates read only the masks; `Edge` objects are built lazily, for a
+step witness or on the first `all_edges` call. Step traces propagate
+missing counts: each edge keeps the number of its cells still uninfected,
+so one step touches only the edges through the cell it infects. This is a
+desk-scale engine: grids whose edge count would exceed EDGE_TABLE_CAP are
+rejected up front.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterator, Optional
+from operator import itemgetter
+from typing import Optional
 
 from .lattice import (
     CellSet,
@@ -30,8 +39,10 @@ from .lattice import (
     cell_count,
     check_compatible,
     check_vertex,
+    iter_bits,
     linear_index,
     p_slice,
+    unchecked_vertex,
 )
 
 EDGE_TABLE_CAP = 1 << 20
@@ -72,35 +83,79 @@ def _count_edges(shape: GridShape, params: Params) -> int:
     return total
 
 
+class EdgeTable:
+    """Every hyperedge of one (shape, params) pair, in the documented order.
+
+    `sets[k]` holds the per-axis index sets of edge k and `masks[k]` its
+    occupancy bitmask. The `Edge` objects and the per-cell incidence lists
+    are built on first use and kept.
+    """
+
+    def __init__(self, shape: GridShape, sets: tuple, masks: tuple[int, ...]) -> None:
+        self.shape = shape
+        self.sets = sets
+        self.masks = masks
+        self._edges: Optional[tuple[Edge, ...]] = None
+        self._through: Optional[list[list[int]]] = None
+
+    def edges(self) -> tuple[Edge, ...]:
+        if self._edges is None:
+            self._edges = tuple(Edge(s) for s in self.sets)
+        return self._edges
+
+    def through(self) -> list[list[int]]:
+        """For each cell (by linear index), the edges containing it, ascending."""
+        if self._through is None:
+            through: list[list[int]] = [[] for _ in range(cell_count(self.shape))]
+            for k, m in enumerate(self.masks):
+                for c in iter_bits(m):
+                    through[c].append(k)
+            self._through = through
+        return self._through
+
+
 @lru_cache(maxsize=256)
-def _edge_table(shape: GridShape, params: Params) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
+def _edge_table(shape: GridShape, params: Params) -> EdgeTable:
     check_compatible(shape, params)
     if _count_edges(shape, params) > EDGE_TABLE_CAP:
         raise ValueError(
             f"shape {shape.dims} with t={params.t}, r={params.r} has more than "
             f"{EDGE_TABLE_CAP} hyperedges; beyond the desk-scale engine"
         )
-    edges = []
+    dims = shape.dims
+    strides = [math.prod(dims[i + 1:]) for i in range(shape.d)]
+    sets, masks = [], []
     for axes in combinations(range(shape.d), params.r):
-        options = []
-        for i in range(shape.d):
-            n = shape.dims[i]
-            if i in axes:
-                options.append(list(combinations(range(1, n + 1), params.t)))
-            else:
-                options.append([(v,) for v in range(1, n + 1)])
-        for sets in product(*options):
-            edges.append(Edge(sets))
-    edges.sort(key=Edge.sort_key)
-    masks = tuple(
-        sum(1 << linear_index(shape, v) for v in product(*e.sets)) for e in edges
-    )
-    return tuple(edges), masks
+        others = [i for i in range(shape.d) if i not in axes]
+        # An index set S on a varying axis i contributes the factor
+        # sum(2**((c-1)*stride_i) for c in S). Cells of a box have distinct
+        # row-major offsets, so the product of the factors has exactly the
+        # box's bits set; each fixed coordinate then shifts it.
+        varying = [
+            [(s, sum(1 << (c - 1) * strides[i] for c in s))
+             for s in combinations(range(1, dims[i] + 1), params.t)]
+            for i in axes
+        ]
+        fixed = [
+            (tuple((c,) for c in cs), sum((c - 1) * strides[i] for c, i in zip(cs, others)))
+            for cs in product(*(range(1, dims[i] + 1) for i in others))
+        ]
+        # With fixed axes, put the varying sets, then the fixed ones, back
+        # into axis order.
+        order = [*axes, *others]
+        pick = itemgetter(*(order.index(i) for i in range(shape.d)))
+        for var in product(*varying):
+            var_sets = tuple(s for s, _ in var)
+            box = math.prod(f for _, f in var)
+            for fix_sets, offset in fixed:
+                sets.append(pick(var_sets + fix_sets) if others else var_sets)
+                masks.append(box << offset)
+    return EdgeTable(shape, tuple(sets), tuple(masks))
 
 
 def all_edges(shape: GridShape, params: Params) -> tuple[Edge, ...]:
     """Every hyperedge of the grid, in the deterministic sort order."""
-    return _edge_table(shape, params)[0]
+    return _edge_table(shape, params).edges()
 
 
 def _scan_additions(bits: int, masks) -> int:
@@ -137,9 +192,9 @@ def infecting_edge(a: CellSet, v, params: Params) -> Optional[Edge]:
     vbit = 1 << linear_index(a.shape, v)
     if a.bits & vbit:
         raise ValueError(f"vertex {v} is already infected")
-    edges, masks = _edge_table(a.shape, params)
+    table = _edge_table(a.shape, params)
     inv = ~a.bits
-    for e, m in zip(edges, masks):
+    for e, m in zip(table.edges(), table.masks):
         if m & vbit and m & inv == vbit:
             return e
     return None
@@ -147,13 +202,13 @@ def infecting_edge(a: CellSet, v, params: Params) -> Optional[Edge]:
 
 def phase_step(a: CellSet, params: Params) -> CellSet:
     """One synchronous round: add every vertex that has an infecting edge."""
-    _, masks = _edge_table(a.shape, params)
+    masks = _edge_table(a.shape, params).masks
     return CellSet(a.shape, a.bits | _scan_additions(a.bits, masks))
 
 
 def full_form(a: CellSet, params: Params) -> tuple[CellSet, PhaseTrace]:
     """Iterate phases to the fixpoint; returns (closure, trace)."""
-    _, masks = _edge_table(a.shape, params)
+    masks = _edge_table(a.shape, params).masks
     bits = a.bits
     phases = [a]
     scan = masks
@@ -169,7 +224,7 @@ def full_form(a: CellSet, params: Params) -> tuple[CellSet, PhaseTrace]:
 
 def percolates(a: CellSet, params: Params) -> bool:
     """True when the closure of `a` covers the whole grid."""
-    _, masks = _edge_table(a.shape, params)
+    masks = _edge_table(a.shape, params).masks
     full = (1 << cell_count(a.shape)) - 1
     return _closure_bits(a.bits, masks, full) == full
 
@@ -177,7 +232,7 @@ def percolates(a: CellSet, params: Params) -> bool:
 def one_phase(a: CellSet, params: Params) -> bool:
     """True when a single phase already covers the grid: every vertex
     outside `a` has an infecting edge within `a` itself."""
-    _, masks = _edge_table(a.shape, params)
+    masks = _edge_table(a.shape, params).masks
     full = (1 << cell_count(a.shape)) - 1
     return a.bits | _scan_additions(a.bits, masks) == full
 
@@ -188,43 +243,36 @@ def step_by_step(a: CellSet, params: Params, seed: Optional[int] = None) -> Step
     With seed None the lexicographically least infectable vertex is chosen
     each step; with an integer seed the choice is uniform under a seeded
     generator. The terminal set never depends on the choices.
+
+    Each edge keeps its count of uninfected cells, and each cell has the
+    list of edges through it, in edge order. An edge with one uninfected
+    cell makes that cell infectable, and infecting a cell updates only the
+    edges on its list.
     """
-    edges, masks = _edge_table(a.shape, params)
+    table = _edge_table(a.shape, params)
+    masks, through = table.masks, table.through()
     rng = random.Random(seed) if seed is not None else None
-    bits = a.bits
+    inv = ~a.bits
+    missing = [(m & inv).bit_count() for m in masks]
+    # Infectable cells, ascending; a cell stays infectable until infected.
+    candidates = sorted({
+        (m & inv).bit_length() - 1 for m, n in zip(masks, missing) if n == 1
+    })
     steps: list[tuple[Vertex, Edge]] = []
-    while True:
-        add = _scan_additions(bits, masks)
-        if not add:
-            break
-        choices = list(_iter_bits(add))
-        idx = choices[0] if rng is None else rng.choice(choices)
-        vbit = 1 << idx
-        inv = ~bits
-        witness = None
-        for e, m in zip(edges, masks):
-            if m & vbit and m & inv == vbit:
-                witness = e
-                break
-        v = _vertex_of(a.shape, idx)
-        steps.append((v, witness))
-        bits |= vbit
+    while candidates:
+        idx = candidates[0] if rng is None else rng.choice(candidates)
+        del candidates[bisect_left(candidates, idx)]
+        witness = next(k for k in through[idx] if missing[k] == 1)
+        steps.append((unchecked_vertex(a.shape, idx), Edge(table.sets[witness])))
+        inv ^= 1 << idx
+        for k in through[idx]:
+            missing[k] -= 1
+            if missing[k] == 1:
+                c = (masks[k] & inv).bit_length() - 1
+                pos = bisect_left(candidates, c)
+                if pos == len(candidates) or candidates[pos] != c:
+                    candidates.insert(pos, c)
     return StepTrace(a, tuple(steps))
-
-
-def _iter_bits(bits: int) -> Iterator[int]:
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
-def _vertex_of(shape: GridShape, idx: int) -> Vertex:
-    coords = []
-    for n in reversed(shape.dims):
-        coords.append(idx % n + 1)
-        idx //= n
-    return tuple(reversed(coords))
 
 
 def rectangle_blocks(a: CellSet) -> Optional[list[tuple[tuple[int, ...], tuple[int, ...]]]]:

@@ -14,7 +14,7 @@ import json
 from typing import Any
 
 from .engine import PhaseTrace, StepTrace
-from .lattice import CellSet, Edge, GridShape, Params, check_compatible
+from .lattice import CellSet, Edge, GridShape, Params, check_compatible, validate_edge
 from .search import ReachResult, SearchReport
 from .transforms import PRowDecomposition, ShiftRecord
 
@@ -23,13 +23,32 @@ class InstanceError(ValueError):
     """Raised when an instance or trace document fails validation."""
 
 
+def _is_int(value) -> bool:
+    # JSON true/false decode to bool, which Python counts as an int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(obj: dict, key: str, kind, where: str):
     if key not in obj:
         raise InstanceError(f"{where}: missing required field {key!r}")
     value = obj[key]
-    if not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise InstanceError(f"{where}: field {key!r} must be {kind.__name__}")
     return value
+
+
+def _coords(value, what: str) -> tuple[int, ...]:
+    """A JSON array of integers, taken exactly; floats and booleans are rejected."""
+    if not isinstance(value, list) or not all(_is_int(c) for c in value):
+        got = json.dumps(value, default=repr)
+        raise InstanceError(f"{what} must be a list of integers, got {got}")
+    return tuple(value)
+
+
+def _cells(value, what: str) -> list[tuple[int, ...]]:
+    if not isinstance(value, list):
+        raise InstanceError(f"{what} must be a list of cells")
+    return [_coords(cell, f"{what}: cell") for cell in value]
 
 
 def parse_instance(doc: str | dict) -> tuple[CellSet, Params]:
@@ -41,12 +60,12 @@ def parse_instance(doc: str | dict) -> tuple[CellSet, Params]:
             raise InstanceError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
-    shape_list = _require(doc, "shape", list, "instance")
+    dims = _coords(_require(doc, "shape", list, "instance"), "instance: shape")
     t = _require(doc, "t", int, "instance")
     r = _require(doc, "r", int, "instance")
-    cells = _require(doc, "cells", list, "instance")
+    cells = _cells(_require(doc, "cells", list, "instance"), "instance")
     try:
-        shape = GridShape(tuple(shape_list))
+        shape = GridShape(dims)
         params = Params(t, r)
         check_compatible(shape, params)
         cellset = CellSet.from_cells(shape, cells)
@@ -72,13 +91,34 @@ def edge_to_json(edge: Edge) -> dict:
     }
 
 
+def _axis(key: str, d: int) -> int:
+    if not (key.isascii() and key.isdigit()) or not 1 <= int(key) <= d:
+        raise InstanceError(f"edge: axis {key!r} is not an integer in 1..{d}")
+    return int(key)
+
+
 def edge_from_json(obj: dict, d: int) -> Edge:
-    varying = {int(k): tuple(v) for k, v in _require(obj, "varying", dict, "edge").items()}
-    fixed = {int(k): v for k, v in obj.get("fixed", {}).items()}
+    if not isinstance(obj, dict):
+        raise InstanceError("edge must be a JSON object")
+    varying = {
+        _axis(k, d): _coords(v, f"edge: varying axis {k}")
+        for k, v in _require(obj, "varying", dict, "edge").items()
+    }
+    fixed_doc = obj.get("fixed", {})
+    if not isinstance(fixed_doc, dict):
+        raise InstanceError("edge: field 'fixed' must be dict")
+    fixed = {}
+    for k, v in fixed_doc.items():
+        if not _is_int(v):
+            got = json.dumps(v, default=repr)
+            raise InstanceError(f"edge: fixed axis {k} must be an integer, got {got}")
+        fixed[_axis(k, d)] = v
     sets = []
     for axis in range(1, d + 1):
+        if axis in varying and axis in fixed:
+            raise InstanceError(f"edge: axis {axis} is both varying and fixed")
         if axis in varying:
-            sets.append(tuple(varying[axis]))
+            sets.append(varying[axis])
         elif axis in fixed:
             sets.append((fixed[axis],))
         else:
@@ -195,22 +235,34 @@ def parse_trace(doc: str | dict) -> tuple[Params, list[CellSet], str, list[Edge]
             raise InstanceError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceError("trace document must be a JSON object")
-    shape = GridShape(tuple(_require(doc, "shape", list, "trace")))
-    params = Params(_require(doc, "t", int, "trace"), _require(doc, "r", int, "trace"))
+    dims = _coords(_require(doc, "shape", list, "trace"), "trace: shape")
+    t = _require(doc, "t", int, "trace")
+    r = _require(doc, "r", int, "trace")
     try:
+        shape = GridShape(dims)
+        params = Params(t, r)
+        check_compatible(shape, params)
         if "phases" in doc:
-            stages = [CellSet.from_cells(shape, cells) for cells in doc["phases"]]
+            stages = [CellSet.from_cells(shape, _cells(cells, "trace: phase"))
+                      for cells in _require(doc, "phases", list, "trace")]
             return params, stages, "phases", []
         if "steps" in doc:
-            current = CellSet.from_cells(shape, doc.get("start", []))
+            current = CellSet.from_cells(shape, _cells(doc.get("start", []), "trace: start"))
             stages = [current]
             edges = []
-            for step in doc["steps"]:
-                current = current.with_cells([step["v"]])
+            for step in _require(doc, "steps", list, "trace"):
+                if not isinstance(step, dict):
+                    raise InstanceError("trace: each step must be a JSON object")
+                v = _coords(_require(step, "v", list, "trace step"), "trace: step v")
+                current = current.with_cells([v])
                 stages.append(current)
-                edges.append(edge_from_json(step["edge"], shape.d))
+                edge = edge_from_json(_require(step, "edge", dict, "trace step"), shape.d)
+                validate_edge(edge, shape, params)
+                edges.append(edge)
             return params, stages, "steps", edges
-    except (ValueError, TypeError, KeyError) as exc:
+    except InstanceError:
+        raise
+    except (ValueError, TypeError) as exc:
         raise InstanceError(f"invalid trace: {exc}") from exc
     raise InstanceError("trace document needs a 'phases' or 'steps' field")
 

@@ -95,19 +95,20 @@ def check_vertex(shape: GridShape, vertex: Iterable[int]) -> Vertex:
     return v
 
 
-def linear_index(shape: GridShape, vertex: Iterable[int]) -> int:
-    """0-based row-major linear index of a 1-based vertex tuple."""
-    v = check_vertex(shape, vertex)
+def unchecked_index(shape: GridShape, vertex: Iterable[int]) -> int:
+    """Row-major linear index of a vertex already known to be in bounds.
+
+    The hot loops use this directly; `linear_index` adds the checks.
+    """
     idx = 0
-    for c, n in zip(v, shape.dims):
+    for c, n in zip(vertex, shape.dims):
         idx = idx * n + (c - 1)
     return idx
 
 
-def vertex_at(shape: GridShape, index: int) -> Vertex:
-    """Inverse of linear_index."""
-    if not 0 <= index < cell_count(shape):
-        raise ValueError(f"linear index {index} out of range for {shape.dims}")
+def unchecked_vertex(shape: GridShape, index: int) -> Vertex:
+    """Vertex of a linear index already known to be in range; the
+    inverse of `unchecked_index`."""
     coords = []
     for n in reversed(shape.dims):
         coords.append(index % n + 1)
@@ -115,7 +116,20 @@ def vertex_at(shape: GridShape, index: int) -> Vertex:
     return tuple(reversed(coords))
 
 
-def _iter_bit_indices(bits: int) -> Iterator[int]:
+def linear_index(shape: GridShape, vertex: Iterable[int]) -> int:
+    """0-based row-major linear index of a 1-based vertex tuple."""
+    return unchecked_index(shape, check_vertex(shape, vertex))
+
+
+def vertex_at(shape: GridShape, index: int) -> Vertex:
+    """Inverse of linear_index."""
+    if not 0 <= index < cell_count(shape):
+        raise ValueError(f"linear index {index} out of range for {shape.dims}")
+    return unchecked_vertex(shape, index)
+
+
+def iter_bits(bits: int) -> Iterator[int]:
+    """Indices of the set bits of `bits`, ascending."""
     while bits:
         low = bits & -bits
         yield low.bit_length() - 1
@@ -167,13 +181,13 @@ class CellSet:
 
     def to_array(self) -> np.ndarray:
         arr = np.zeros(cell_count(self.shape), dtype=bool)
-        for idx in _iter_bit_indices(self.bits):
+        for idx in iter_bits(self.bits):
             arr[idx] = True
         return arr.reshape(self.shape.dims)
 
     def cells(self) -> list[Vertex]:
         """Member vertices in ascending coordinate (row-major) order."""
-        return [vertex_at(self.shape, i) for i in _iter_bit_indices(self.bits)]
+        return [unchecked_vertex(self.shape, i) for i in iter_bits(self.bits)]
 
     def __len__(self) -> int:
         return self.cardinality

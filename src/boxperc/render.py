@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .lattice import CellSet, Edge, GridShape, edge_vertices
+from .lattice import CellSet, Edge, GridShape, cell_count, edge_mask
 
 SVG_FORMAT_VERSION = 1
 CELL_PX = 20
@@ -44,20 +44,25 @@ def _panel_dims(shape: GridShape) -> tuple[int, int]:
     return shape.dims[-2], shape.dims[-1]
 
 
-def _cell_char(v, a: CellSet, new: Optional[CellSet], edge_cells) -> str:
-    if new is not None and v in new:
-        return "*"
-    if edge_cells and v in edge_cells:
-        return "o" if v in a else "*"
-    return "#" if v in a else "."
+# Cell states: 1 infected, 2 newly infected, 4 member of the highlighted edge.
+_ASCII = str.maketrans("01234567", ".#***o**")
 
 
-def _panel_vertex(shape: GridShape, panel: Optional[int], i: int, j: int):
-    if shape.d == 1:
-        return (j,)
-    if shape.d == 2:
-        return (i, j)
-    return (panel, i, j)
+def _cell_states(a: CellSet, new: Optional[CellSet], edge: Optional[Edge]) -> str:
+    """One octal digit per cell, in row-major order, summing the state flags.
+
+    Reading a mask's binary digits as octal moves bit k to octal digit k, so
+    the three masks combine without a per-cell loop.
+    """
+    def spread(bits: int) -> int:
+        return int(format(bits, "b"), 8)
+
+    code = spread(a.bits)
+    if new is not None:
+        code |= spread(new.bits) << 1
+    if edge is not None:
+        code |= spread(edge_mask(edge, a.shape)) << 2
+    return format(code, "o").zfill(cell_count(a.shape))[::-1]
 
 
 def ascii_grid(
@@ -67,19 +72,18 @@ def ascii_grid(
 ) -> str:
     """One character per cell; rows top to bottom, columns left to right."""
     shape = a.shape
-    edge_cells = set(edge_vertices(edge)) if edge is not None else None
+    panels = _panels(shape)
     rows_n, cols_n = _panel_dims(shape)
+    chars = _cell_states(a, new, edge).translate(_ASCII)
     blocks = []
-    for panel in _panels(shape):
+    for p, panel in enumerate(panels):
         lines = []
         if panel is not None:
             lines.append(f"[axis1={panel}]")
-        for i in range(1, rows_n + 1):
-            line = "".join(
-                _cell_char(_panel_vertex(shape, panel, i, j), a, new, edge_cells)
-                for j in range(1, cols_n + 1)
-            )
-            lines.append(line)
+        base = p * rows_n * cols_n
+        for i in range(rows_n):
+            start = base + i * cols_n
+            lines.append(chars[start:start + cols_n])
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 
@@ -106,34 +110,29 @@ def ascii_stages(
 
 def _svg_panel(
     parts: list[str],
-    a: CellSet,
-    new: Optional[CellSet],
-    edge_cells,
+    states: str,
     shape: GridShape,
     panel: Optional[int],
     x0: int,
     y0: int,
 ) -> None:
+    """Draw one panel; `states` holds its cells' `_cell_states` digits."""
     rows_n, cols_n = _panel_dims(shape)
-    for i in range(1, rows_n + 1):
-        for j in range(1, cols_n + 1):
-            v = _panel_vertex(shape, panel, i, j)
-            x = x0 + (j - 1) * CELL_PX
-            y = y0 + (i - 1) * CELL_PX
-            fill = None
-            if new is not None and v in new:
-                fill = NEW_FILL
-            elif v in a:
-                fill = INFECTED_FILL
-            if fill:
-                parts.append(
-                    f'<rect x="{x}" y="{y}" width="{CELL_PX}" height="{CELL_PX}" fill="{fill}"/>'
-                )
-            if edge_cells and v in edge_cells:
-                parts.append(
-                    f'<rect x="{x + 2}" y="{y + 2}" width="{CELL_PX - 4}" '
-                    f'height="{CELL_PX - 4}" fill="none" stroke="{EDGE_STROKE}" stroke-width="2"/>'
-                )
+    for k, digit in enumerate(states):
+        state = int(digit)
+        i, j = divmod(k, cols_n)
+        x = x0 + j * CELL_PX
+        y = y0 + i * CELL_PX
+        fill = NEW_FILL if state & 2 else INFECTED_FILL if state & 1 else None
+        if fill:
+            parts.append(
+                f'<rect x="{x}" y="{y}" width="{CELL_PX}" height="{CELL_PX}" fill="{fill}"/>'
+            )
+        if state & 4:
+            parts.append(
+                f'<rect x="{x + 2}" y="{y + 2}" width="{CELL_PX - 4}" '
+                f'height="{CELL_PX - 4}" fill="none" stroke="{EDGE_STROKE}" stroke-width="2"/>'
+            )
     # Grid lines.
     w = cols_n * CELL_PX
     h = rows_n * CELL_PX
@@ -203,11 +202,12 @@ def _svg_document(entries) -> str:
         f"<!-- boxperc svg format {SVG_FORMAT_VERSION} -->",
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
+    size = rows_n * cols_n
     for row, (a, new, edge) in enumerate(entries):
-        edge_cells = set(edge_vertices(edge)) if edge is not None else None
+        states = _cell_states(a, new, edge)
         for col, panel in enumerate(panels):
             x0 = LABEL_PX + col * panel_w
             y0 = LABEL_PX + row * panel_h
-            _svg_panel(parts, a, new, edge_cells, shape, panel, x0, y0)
+            _svg_panel(parts, states[col * size:(col + 1) * size], shape, panel, x0, y0)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

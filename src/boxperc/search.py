@@ -30,6 +30,8 @@ from .lattice import (
     check_compatible,
     edge_vertices,
     slice_mask,
+    unchecked_index,
+    unchecked_vertex,
 )
 from .transforms import ShiftRecord
 
@@ -138,7 +140,7 @@ def min_percolating_size(
 ) -> SearchReport:
     """Exact minimum size of a percolating set, by ascending enumeration."""
     check_compatible(shape, params)
-    _, masks = _edge_table(shape, params)
+    masks = _edge_table(shape, params).masks
     full = (1 << cell_count(shape)) - 1
     predicate = lambda bits: _closure_bits(bits, masks, full) == full
     return _min_size(
@@ -155,7 +157,7 @@ def min_one_phase_size(
 ) -> SearchReport:
     """Exact minimum size of a set whose first phase already covers the grid."""
     check_compatible(shape, params)
-    _, masks = _edge_table(shape, params)
+    masks = _edge_table(shape, params).masks
     full = (1 << cell_count(shape)) - 1
     predicate = lambda bits: bits | _scan_additions(bits, masks) == full
     return _min_size(shape, params, "one-phase", predicate, mode, budget, None)
@@ -181,7 +183,7 @@ def random_percolating_set(shape: GridShape, params: Params, seed: int) -> CellS
     order, dropping each cell whose removal keeps the set percolating.
     Deterministic for a given seed."""
     check_compatible(shape, params)
-    _, masks = _edge_table(shape, params)
+    masks = _edge_table(shape, params).masks
     full = (1 << cell_count(shape)) - 1
     return _reverse_deletion(
         shape, params, seed, lambda bits: _closure_bits(bits, masks, full) == full
@@ -191,7 +193,7 @@ def random_percolating_set(shape: GridShape, params: Params, seed: int) -> CellS
 def random_one_phase_set(shape: GridShape, params: Params, seed: int) -> CellSet:
     """Deletion-minimal set that still covers the grid in a single phase."""
     check_compatible(shape, params)
-    _, masks = _edge_table(shape, params)
+    masks = _edge_table(shape, params).masks
     full = (1 << cell_count(shape)) - 1
     return _reverse_deletion(
         shape, params, seed, lambda bits: bits | _scan_additions(bits, masks) == full
@@ -229,7 +231,8 @@ def shift_reach(
     States are deduplicated by exact identity. `max_ops` bounds the
     sequence length and `max_states` the number of distinct states kept.
     """
-    edges, masks = _edge_table(a.shape, params)
+    table = _edge_table(a.shape, params)
+    masks = table.masks
     full = (1 << cell_count(a.shape)) - 1
     if _closure_bits(a.bits, masks, full) != full:
         raise ValueError("shift_reach expects a percolating start set")
@@ -247,6 +250,7 @@ def shift_reach(
         return ReachResult("found", (), 1, 0)
 
     shape = a.shape
+    edges = table.edges()
     visited = {a.bits}
     parents: dict[int, tuple[int, ShiftRecord]] = {}
     frontier = [a.bits]
@@ -263,7 +267,7 @@ def shift_reach(
                 vidx = miss.bit_length() - 1
                 corner = e.max_corner()
                 for w in edge_vertices(e):
-                    wbit = 1 << _lin(shape, w)
+                    wbit = 1 << unchecked_index(shape, w)
                     if wbit == miss:
                         continue
                     if maximal_only and w != corner:
@@ -275,7 +279,7 @@ def shift_reach(
                         truncated = True
                         break
                     visited.add(succ)
-                    vtuple = _vertex(shape, vidx)
+                    vtuple = unchecked_vertex(shape, vidx)
                     rec = ShiftRecord(e, vtuple, w, maximal=w == corner)
                     parents[succ] = (state, rec)
                     if goal_fn(succ):
@@ -300,17 +304,3 @@ def shift_reach(
         return ReachResult("inconclusive", None, len(visited), depth)
     return ReachResult("unreachable", None, len(visited), depth)
 
-
-def _lin(shape: GridShape, v) -> int:
-    idx = 0
-    for c, n in zip(v, shape.dims):
-        idx = idx * n + (c - 1)
-    return idx
-
-
-def _vertex(shape: GridShape, idx: int):
-    coords = []
-    for n in reversed(shape.dims):
-        coords.append(idx % n + 1)
-        idx //= n
-    return tuple(reversed(coords))

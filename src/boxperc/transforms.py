@@ -27,6 +27,7 @@ from .lattice import (
     linear_index,
     p_slice,
     permute_slices,
+    unchecked_vertex,
 )
 
 
@@ -213,26 +214,18 @@ def is_standard_position(e: Edge, a: CellSet) -> bool:
 def _nonstandard_candidates(a: CellSet, params: Params):
     """(missing vertex, edge) pairs for every infecting edge whose missing
     vertex is not the maximal corner, sorted by vertex then edge order."""
-    edges, masks = _edge_table(a.shape, params)
+    table = _edge_table(a.shape, params)
     inv = ~a.bits
     out = []
-    for e, m in zip(edges, masks):
+    for e, m in zip(table.edges(), table.masks):
         miss = m & inv
         if miss and miss & (miss - 1) == 0:
             idx = miss.bit_length() - 1
-            v = _vertex_from_index(a.shape, idx)
+            v = unchecked_vertex(a.shape, idx)
             if v != e.max_corner():
                 out.append((v, e))
     out.sort(key=lambda ve: (ve[0], ve[1].sort_key()))
     return out
-
-
-def _vertex_from_index(shape: GridShape, idx: int) -> Vertex:
-    coords = []
-    for n in reversed(shape.dims):
-        coords.append(idx % n + 1)
-        idx //= n
-    return tuple(reversed(coords))
 
 
 def normalize_max_shifts(

@@ -1,8 +1,12 @@
 import json
+import random
 
 import pytest
 
+from boxperc import jsonio
 from boxperc.cli import main
+from boxperc.engine import one_phase, percolates
+from boxperc.lattice import CellSet, GridShape, Params, cell_count
 
 
 def run(capsys, *argv):
@@ -55,6 +59,21 @@ def test_check(tmp_path, capsys):
         "closure_cardinality": 4,
         "phases": 1,
     }
+
+
+def test_check_flags_agree_with_the_predicates(tmp_path, capsys):
+    # check reads both flags off one closure; they must equal the predicates.
+    rng = random.Random(53)
+    for dims, t, r in (((3, 4), 2, 2), ((3, 3, 2), 2, 2), ((4, 4), 3, 2), ((2, 2, 3), 2, 3)):
+        shape, params = GridShape(dims), Params(t, r)
+        for _ in range(15):
+            a = CellSet(shape, rng.getrandbits(cell_count(shape)) | rng.getrandbits(cell_count(shape)))
+            path = write_instance(tmp_path, **jsonio.instance_to_json(a, params))
+            rc, out, _ = run(capsys, "check", "--input", str(path))
+            doc = json.loads(out)
+            assert rc == 0
+            assert doc["percolates"] == percolates(a, params)
+            assert doc["one_phase"] == one_phase(a, params)
 
 
 def test_lset_formats(capsys):

@@ -1,9 +1,13 @@
 import random
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxperc.constructions import l_set
 from boxperc.engine import (
+    _edge_table,
     all_edges,
     full_form,
     infecting_edge,
@@ -20,6 +24,8 @@ from boxperc.lattice import (
     Params,
     cell_count,
     edge_vertices,
+    linear_index,
+    vertex_at,
 )
 
 P22 = Params(2, 2)
@@ -244,3 +250,90 @@ def test_edge_enumeration_cap():
     shape = GridShape((50, 50))
     with pytest.raises(ValueError, match="desk-scale"):
         percolates(CellSet.empty(shape), P22)
+
+
+# Naive reference engine: enumerate Edge objects, sort them, then build each
+# mask vertex by vertex; step traces rescan every mask at every step.
+
+
+def naive_edge_table(shape, params):
+    edges = []
+    for axes in combinations(range(shape.d), params.r):
+        options = []
+        for i, n in enumerate(shape.dims):
+            if i in axes:
+                options.append(list(combinations(range(1, n + 1), params.t)))
+            else:
+                options.append([(v,) for v in range(1, n + 1)])
+        edges.extend(Edge(sets) for sets in product(*options))
+    edges.sort(key=Edge.sort_key)
+    masks = [sum(1 << linear_index(shape, v) for v in product(*e.sets)) for e in edges]
+    return edges, masks
+
+
+def naive_step_by_step(a, params, seed):
+    edges, masks = naive_edge_table(a.shape, params)
+    rng = random.Random(seed) if seed is not None else None
+    bits = a.bits
+    steps = []
+    while True:
+        add = 0
+        for m in masks:
+            miss = m & ~bits
+            if miss and miss & (miss - 1) == 0:
+                add |= miss
+        if not add:
+            return steps
+        choices = [i for i in range(cell_count(a.shape)) if add >> i & 1]
+        idx = choices[0] if rng is None else rng.choice(choices)
+        vbit = 1 << idx
+        witness = next(e for e, m in zip(edges, masks) if m & vbit and m & ~bits == vbit)
+        steps.append((vertex_at(a.shape, idx), witness))
+        bits |= vbit
+
+
+@st.composite
+def instances(draw, max_d=3, max_n=4):
+    dims = tuple(draw(st.lists(st.integers(1, max_n), min_size=1, max_size=max_d)))
+    shape = GridShape(dims)
+    params = Params(draw(st.sampled_from((2, 3))), draw(st.integers(1, len(dims))))
+    return shape, params
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances(max_n=5))
+def test_edge_table_matches_sorted_reference(inst):
+    shape, params = inst
+    edges, masks = naive_edge_table(shape, params)
+    assert all_edges(shape, params) == tuple(edges)
+    assert _edge_table(shape, params).masks == tuple(masks)
+
+
+@pytest.mark.parametrize("dims,t", [((2, 3, 2, 3), 2), ((3, 2, 4, 3), 3)])
+def test_four_dimensional_edge_table_matches_reference(dims, t):
+    shape = GridShape(dims)
+    for r in range(1, 5):
+        params = Params(t, r)
+        edges, masks = naive_edge_table(shape, params)
+        assert all_edges(shape, params) == tuple(edges)
+        assert tuple(sorted(edges, key=Edge.sort_key)) == tuple(edges)
+        assert _edge_table(shape, params).masks == tuple(masks)
+
+
+@settings(max_examples=120, deadline=None)
+@given(instances(), st.data())
+def test_step_trace_matches_rescan_reference(inst, data):
+    shape, params = inst
+    bits = data.draw(st.integers(0, (1 << cell_count(shape)) - 1))
+    a = CellSet(shape, bits)
+    seed = data.draw(st.one_of(st.none(), st.integers(0, 2**32)))
+    assert list(step_by_step(a, params, seed=seed).steps) == naive_step_by_step(a, params, seed)
+
+
+def test_step_trace_matches_reference_on_l_sets():
+    # Sparse starts give long traces, where the incremental counts matter.
+    for dims, t, r in (((6, 6), 2, 2), ((5, 5), 3, 2), ((3, 4, 3), 2, 2), ((3, 3, 3), 2, 3)):
+        shape, params = GridShape(dims), Params(t, r)
+        a = l_set(shape, params)
+        for seed in (None, 0, 5):
+            assert list(step_by_step(a, params, seed=seed).steps) == naive_step_by_step(a, params, seed)

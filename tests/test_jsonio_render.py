@@ -1,14 +1,22 @@
+import io
 import json
 import random
+import runpy
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxperc import jsonio, render
+from boxperc.cli import main
 from boxperc.engine import full_form, step_by_step
 from boxperc.constructions import l_set
 from boxperc.jsonio import InstanceError
-from boxperc.lattice import CellSet, Edge, GridShape, Params, cell_count
+from boxperc.lattice import CellSet, Edge, GridShape, Params, cell_count, edge_vertices
 from boxperc.search import min_percolating_size
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def test_instance_round_trip():
@@ -176,3 +184,148 @@ def test_svg_golden_two_by_two():
         "</svg>\n"
     )
     assert render.svg_grid(a) == golden
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"shape": [2.7, 3], "t": 2, "r": 2, "cells": [[1, 1], [1.9, 2]]},
+        {"shape": [2, 3.0], "t": 2, "r": 2, "cells": []},
+        {"shape": [True, 3], "t": 2, "r": 2, "cells": []},
+        {"shape": [2, 3], "t": 2.0, "r": 2, "cells": []},
+        {"shape": [2, 3], "t": True, "r": 2, "cells": []},
+        {"shape": [2, 3], "t": 2, "r": 2.5, "cells": []},
+        {"shape": [2, 3], "t": 2, "r": 2, "cells": [[1.9, 1]]},
+        {"shape": [2, 3], "t": 2, "r": 2, "cells": [[1, False]]},
+        {"shape": [2, 3], "t": 2, "r": 2, "cells": [[1, "2"]]},
+        {"shape": [2, 3], "t": 2, "r": 2, "cells": [5]},
+    ],
+)
+def test_instance_rejects_non_integer_numbers(doc, capsys, monkeypatch):
+    with pytest.raises(InstanceError, match="must be"):
+        jsonio.parse_instance(doc)
+    # The command line answers exit 2 with a diagnostic, never a result.
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    rc = main(["check"])
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == "" and "error:" in out.err
+
+
+def _step_trace_doc(**overrides):
+    shape, params = GridShape((3, 3)), Params(2, 2)
+    a = CellSet.from_cells(shape, [(1, 1), (1, 2), (2, 1)])
+    doc = jsonio.step_trace_to_json(step_by_step(a, params), params)
+    doc.update(overrides)
+    return doc
+
+
+def test_trace_rejects_params_and_edges_off_its_shape():
+    jsonio.parse_trace(_step_trace_doc())
+    with pytest.raises(InstanceError, match="exceeds the dimension"):
+        jsonio.parse_trace(_step_trace_doc(r=3))
+    doc = _step_trace_doc()
+    doc["steps"][0]["edge"]["varying"]["1"] = [7, 9]
+    with pytest.raises(InstanceError, match="out of bounds"):
+        jsonio.parse_trace(doc)
+    doc = _step_trace_doc()
+    doc["steps"][0]["edge"]["fixed"] = {"3": 1}
+    with pytest.raises(InstanceError, match="axis"):
+        jsonio.parse_trace(doc)
+    doc = _step_trace_doc(t=3)
+    with pytest.raises(InstanceError, match="does not match t=3"):
+        jsonio.parse_trace(doc)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda d: d.update(shape=[3, 3.0]),
+        lambda d: d.update(t=2.0),
+        lambda d: d.update(start=[[1, 1.0]]),
+        lambda d: d["steps"][0].update(v=[2, True]),
+        lambda d: d["steps"][0]["edge"]["varying"].update({"1": [1, 2.0]}),
+        lambda d: d["steps"][0]["edge"].update(fixed={"1": 2.5}),
+        lambda d: d["steps"][0]["edge"].update(fixed=[]),
+        lambda d: d.update(steps=[5]),
+        lambda d: d["steps"][0].pop("edge"),
+    ],
+)
+def test_trace_rejects_malformed_steps(change):
+    doc = _step_trace_doc()
+    change(doc)
+    with pytest.raises(InstanceError):
+        jsonio.parse_trace(doc)
+
+
+def test_trace_rejects_non_integer_phase_cells():
+    doc = {"shape": [2, 2], "t": 2, "r": 2, "phases": [[[1, 1]], [[1, 1], [2, 1.5]]]}
+    with pytest.raises(InstanceError, match="list of integers"):
+        jsonio.parse_trace(doc)
+
+
+# Naive reference renderer: one membership test per cell through
+# CellSet.__contains__ and a set of edge vertices.
+
+
+def naive_ascii_grid(a, new=None, edge=None):
+    edge_cells = set(edge_vertices(edge)) if edge is not None else None
+
+    def char(v):
+        if new is not None and v in new:
+            return "*"
+        if edge_cells and v in edge_cells:
+            return "o" if v in a else "*"
+        return "#" if v in a else "."
+
+    dims = a.shape.dims
+    if a.shape.d == 1:
+        return "".join(char((j,)) for j in range(1, dims[0] + 1)) + "\n"
+    rows, cols = dims[-2], dims[-1]
+    blocks = []
+    for panel in range(1, dims[0] + 1) if a.shape.d == 3 else [None]:
+        lines = [] if panel is None else [f"[axis1={panel}]"]
+        for i in range(1, rows + 1):
+            prefix = () if panel is None else (panel,)
+            lines.append("".join(char(prefix + (i, j)) for j in range(1, cols + 1)))
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
+
+
+def naive_ascii_stages(stages, label, edges):
+    out = []
+    for k, stage in enumerate(stages):
+        new = stage - stages[k - 1] if k > 0 else None
+        edge = edges[k - 1] if edges is not None and k > 0 else None
+        out.append(f"{label} {k}:\n" + naive_ascii_grid(stage, new=new, edge=edge))
+    return "\n".join(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_ascii_stages_match_per_cell_reference(data):
+    dims = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    shape = GridShape(dims)
+    params = Params(data.draw(st.sampled_from((2, 3))), data.draw(st.integers(1, len(dims))))
+    a = CellSet(shape, data.draw(st.integers(0, (1 << cell_count(shape)) - 1)))
+    seed = data.draw(st.one_of(st.none(), st.integers(0, 1000)))
+    trace = step_by_step(a, params, seed=seed)
+    stages = [a]
+    for v, _ in trace.steps:
+        stages.append(stages[-1].with_cells([v]))
+    edges = [e for _, e in trace.steps]
+    assert render.ascii_stages(stages, "step", edges=edges) == naive_ascii_stages(stages, "step", edges)
+    phases = list(full_form(a, params)[1].phases)
+    assert render.ascii_stages(phases) == naive_ascii_stages(phases, "phase", None)
+    # The SVG draws one rectangle per infected cell, light for the newly
+    # infected ones, and one outline per highlighted edge vertex.
+    svg = render.svg_stages(stages, edges=edges)
+    assert svg.count(f'fill="{render.NEW_FILL}"') == len(trace.steps)
+    assert svg.count(f'fill="{render.INFECTED_FILL}"') == sum(map(len, stages)) - len(trace.steps)
+    assert svg.count(f'stroke="{render.EDGE_STROKE}"') == len(trace.steps) * params.t**params.r
+
+
+def test_gallery_matches_tracked_svgs():
+    figures = runpy.run_path(str(DEMOS / "05_figures.py"))["figures"]()
+    assert sorted(figures) == sorted(p.name for p in (DEMOS / "out").glob("*.svg"))
+    for name, svg in figures.items():
+        assert (DEMOS / "out" / name).read_text() == svg, name

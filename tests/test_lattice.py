@@ -21,6 +21,8 @@ from boxperc.lattice import (
     permute_slices,
     project,
     slice_cells,
+    unchecked_index,
+    unchecked_vertex,
     validate_edge,
     vertex_at,
 )
@@ -72,6 +74,7 @@ def test_linear_index_round_trip(shape, data):
     idx = data.draw(st.integers(0, cell_count(shape) - 1))
     v = vertex_at(shape, idx)
     assert linear_index(shape, v) == idx
+    assert unchecked_vertex(shape, idx) == v and unchecked_index(shape, v) == idx
     for c, n in zip(v, shape.dims):
         assert 1 <= c <= n
 
