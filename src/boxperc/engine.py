@@ -11,10 +11,15 @@ per-axis index sets and its occupancy bitmask, generated directly in the
 documented edge order (varying axes ascending, then the varying value
 tuples, then the fixed coordinates). Masks are folded from row-major
 strides, without visiting vertices one by one. The phase scans, closures
-and predicates read only the masks; `Edge` objects are built lazily, for a
-step witness or on the first `all_edges` call. Step traces propagate
-missing counts: each edge keeps the number of its cells still uninfected,
-so one step touches only the edges through the cell it infects. This is a
+and predicates read only the masks, and so do the shift moves of
+`transforms` and `search`. `EdgeTable.edge(k)` is the one way from an edge
+index to its `Edge`: it builds the object on first request and hands the
+same object to every later caller, including the tuple that the first
+`all_edges` call builds. Witnesses (`infecting_edge`, step traces, shift
+records) go through it, so an edge is built only when it is reported or
+`all_edges` asks for the whole tuple. Step traces propagate missing
+counts: each edge keeps the number of its cells still uninfected, so one
+step touches only the edges through the cell it infects. This is a
 desk-scale engine: grids whose edge count would exceed EDGE_TABLE_CAP are
 rejected up front.
 """
@@ -96,11 +101,23 @@ class EdgeTable:
         self.sets = sets
         self.masks = masks
         self._edges: Optional[tuple[Edge, ...]] = None
+        self._built: dict[int, Edge] = {}
         self._through: Optional[list[list[int]]] = None
+
+    def edge(self, k: int) -> Edge:
+        """Edge k, built once: every caller gets the same object, and the
+        `edges()` tuple reuses it."""
+        if self._edges is not None:
+            return self._edges[k]
+        e = self._built.get(k)
+        if e is None:
+            e = self._built[k] = Edge(self.sets[k])
+        return e
 
     def edges(self) -> tuple[Edge, ...]:
         if self._edges is None:
-            self._edges = tuple(Edge(s) for s in self.sets)
+            built = self._built
+            self._edges = tuple(built.pop(k, None) or Edge(s) for k, s in enumerate(self.sets))
         return self._edges
 
     def through(self) -> list[list[int]]:
@@ -194,9 +211,9 @@ def infecting_edge(a: CellSet, v, params: Params) -> Optional[Edge]:
         raise ValueError(f"vertex {v} is already infected")
     table = _edge_table(a.shape, params)
     inv = ~a.bits
-    for e, m in zip(table.edges(), table.masks):
-        if m & vbit and m & inv == vbit:
-            return e
+    for k, m in enumerate(table.masks):
+        if m & inv == vbit:
+            return table.edge(k)
     return None
 
 
@@ -263,7 +280,7 @@ def step_by_step(a: CellSet, params: Params, seed: Optional[int] = None) -> Step
         idx = candidates[0] if rng is None else rng.choice(candidates)
         del candidates[bisect_left(candidates, idx)]
         witness = next(k for k in through[idx] if missing[k] == 1)
-        steps.append((unchecked_vertex(a.shape, idx), Edge(table.sets[witness])))
+        steps.append((unchecked_vertex(a.shape, idx), table.edge(witness)))
         inv ^= 1 << idx
         for k in through[idx]:
             missing[k] -= 1

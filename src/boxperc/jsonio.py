@@ -14,7 +14,16 @@ import json
 from typing import Any
 
 from .engine import PhaseTrace, StepTrace
-from .lattice import CellSet, Edge, GridShape, Params, check_compatible, validate_edge
+from .lattice import (
+    CellSet,
+    Edge,
+    GridShape,
+    Params,
+    check_compatible,
+    edge_mask,
+    linear_index,
+    validate_edge,
+)
 from .search import ReachResult, SearchReport
 from .transforms import PRowDecomposition, ShiftRecord
 
@@ -250,14 +259,22 @@ def parse_trace(doc: str | dict) -> tuple[Params, list[CellSet], str, list[Edge]
             current = CellSet.from_cells(shape, _cells(doc.get("start", []), "trace: start"))
             stages = [current]
             edges = []
-            for step in _require(doc, "steps", list, "trace"):
+            for i, step in enumerate(_require(doc, "steps", list, "trace"), start=1):
                 if not isinstance(step, dict):
                     raise InstanceError("trace: each step must be a JSON object")
                 v = _coords(_require(step, "v", list, "trace step"), "trace: step v")
-                current = current.with_cells([v])
-                stages.append(current)
                 edge = edge_from_json(_require(step, "edge", dict, "trace step"), shape.d)
                 validate_edge(edge, shape, params)
+                vbit = 1 << linear_index(shape, v)
+                if current.bits & vbit:
+                    raise InstanceError(f"trace: step {i} infects {list(v)}, already infected")
+                if edge_mask(edge, shape) & ~current.bits != vbit:
+                    raise InstanceError(
+                        f"trace: step {i} infects {list(v)}, which is not the one "
+                        f"cell of its edge missing from the stage before it"
+                    )
+                current = CellSet(shape, current.bits | vbit)
+                stages.append(current)
                 edges.append(edge)
             return params, stages, "steps", edges
     except InstanceError:

@@ -315,6 +315,7 @@ def validate_edge(edge: Edge, shape: GridShape, params: Params) -> None:
 
 
 def edge_mask(edge: Edge, shape: GridShape) -> int:
+    """Occupancy mask of the edge's vertices; raises if one is off the shape."""
     bits = 0
     for v in edge_vertices(edge):
         bits |= 1 << linear_index(shape, v)

@@ -28,9 +28,7 @@ from .lattice import (
     canonical_key,
     cell_count,
     check_compatible,
-    edge_vertices,
     slice_mask,
-    unchecked_index,
     unchecked_vertex,
 )
 from .transforms import ShiftRecord
@@ -250,9 +248,9 @@ def shift_reach(
         return ReachResult("found", (), 1, 0)
 
     shape = a.shape
-    edges = table.edges()
     visited = {a.bits}
-    parents: dict[int, tuple[int, ShiftRecord]] = {}
+    # succ -> (state, edge index, infected bit, evicted bit)
+    parents: dict[int, tuple[int, int, int, int]] = {}
     frontier = [a.bits]
     depth = 0
     truncated = False
@@ -260,18 +258,16 @@ def shift_reach(
         nxt = []
         for state in frontier:
             inv = ~state
-            for e, m in zip(edges, masks):
+            for k, m in enumerate(masks):
                 miss = m & inv
                 if not miss or miss & (miss - 1):
                     continue
-                vidx = miss.bit_length() - 1
-                corner = e.max_corner()
-                for w in edge_vertices(e):
-                    wbit = 1 << unchecked_index(shape, w)
-                    if wbit == miss:
-                        continue
-                    if maximal_only and w != corner:
-                        continue
+                # Evict members in ascending order; the maximal corner is
+                # the edge's highest bit.
+                rest = (1 << (m.bit_length() - 1) if maximal_only else m) & ~miss
+                while rest:
+                    wbit = rest & -rest
+                    rest ^= wbit
                     succ = (state | miss) & ~wbit
                     if succ in visited:
                         continue
@@ -279,16 +275,18 @@ def shift_reach(
                         truncated = True
                         break
                     visited.add(succ)
-                    vtuple = unchecked_vertex(shape, vidx)
-                    rec = ShiftRecord(e, vtuple, w, maximal=w == corner)
-                    parents[succ] = (state, rec)
+                    parents[succ] = (state, k, miss, wbit)
                     if goal_fn(succ):
                         chain = []
                         cur = succ
                         while cur != a.bits:
-                            prev, r = parents[cur]
-                            chain.append(r)
-                            cur = prev
+                            cur, k, vbit, wbit = parents[cur]
+                            chain.append(ShiftRecord(
+                                table.edge(k),
+                                unchecked_vertex(shape, vbit.bit_length() - 1),
+                                unchecked_vertex(shape, wbit.bit_length() - 1),
+                                maximal=wbit.bit_length() == masks[k].bit_length(),
+                            ))
                         chain.reverse()
                         return ReachResult(
                             "found", tuple(chain), len(visited), depth + 1
@@ -303,4 +301,3 @@ def shift_reach(
     if truncated or frontier:
         return ReachResult("inconclusive", None, len(visited), depth)
     return ReachResult("unreachable", None, len(visited), depth)
-

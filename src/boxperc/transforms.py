@@ -211,20 +211,20 @@ def is_standard_position(e: Edge, a: CellSet) -> bool:
     return _missing_vertex(a, e) == e.max_corner()
 
 
-def _nonstandard_candidates(a: CellSet, params: Params):
-    """(missing vertex, edge) pairs for every infecting edge whose missing
-    vertex is not the maximal corner, sorted by vertex then edge order."""
-    table = _edge_table(a.shape, params)
-    inv = ~a.bits
+def _nonstandard_candidates(bits: int, masks) -> list[tuple[int, int]]:
+    """(missing cell, edge) index pairs for every infecting edge whose
+    missing cell is not its maximal corner, sorted by cell then edge.
+
+    An edge's maximal corner is its highest bit, and table order is edge
+    sort order.
+    """
+    inv = ~bits
     out = []
-    for e, m in zip(table.edges(), table.masks):
+    for k, m in enumerate(masks):
         miss = m & inv
-        if miss and miss & (miss - 1) == 0:
-            idx = miss.bit_length() - 1
-            v = unchecked_vertex(a.shape, idx)
-            if v != e.max_corner():
-                out.append((v, e))
-    out.sort(key=lambda ve: (ve[0], ve[1].sort_key()))
+        if miss and miss & (miss - 1) == 0 and miss.bit_length() != m.bit_length():
+            out.append((miss.bit_length() - 1, k))
+    out.sort()
     return out
 
 
@@ -240,15 +240,24 @@ def normalize_max_shifts(
     may then differ, but is always stable).
     """
     rng = random.Random(seed) if seed is not None else None
-    current = a
+    table = _edge_table(a.shape, params)
+    bits = a.bits
     records: list[ShiftRecord] = []
     while True:
-        candidates = _nonstandard_candidates(current, params)
+        candidates = _nonstandard_candidates(bits, table.masks)
         if not candidates:
-            return current, tuple(records)
-        _, e = candidates[0] if rng is None else rng.choice(candidates)
-        current, rec = shift(current, e, e.max_corner())
-        records.append(rec)
+            return CellSet(a.shape, bits), tuple(records)
+        vidx, k = candidates[0] if rng is None else rng.choice(candidates)
+        # The scan has checked what `shift` would: edge k misses only vidx,
+        # and its corner is a member other than vidx.
+        corner = table.masks[k].bit_length() - 1
+        bits = (bits | 1 << vidx) & ~(1 << corner)
+        records.append(ShiftRecord(
+            table.edge(k),
+            unchecked_vertex(a.shape, vidx),
+            unchecked_vertex(a.shape, corner),
+            maximal=True,
+        ))
 
 
 def p_row_decomposition(a: CellSet) -> PRowDecomposition:

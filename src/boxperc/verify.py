@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .constructions import l_set, l_set_cardinality, m_formula
 from .engine import (
-    all_edges,
+    _edge_table,
     full_form,
     one_phase,
     percolates,
@@ -30,8 +30,9 @@ from .lattice import (
     GridShape,
     Params,
     cell_count,
-    edge_vertices,
+    iter_bits,
     slice_cells,
+    unchecked_vertex,
 )
 from .search import (
     DEFAULT_BUDGET,
@@ -236,20 +237,19 @@ def shift_invariance_battery(
     n = cell_count(shape)
     violations = 0
     checked = 0
-    edges = all_edges(shape, params)
+    table = _edge_table(shape, params)
     for k in range(seeds):
         rng = random.Random(seed_base + k)
         a = CellSet(shape, rng.getrandbits(n))
         closed, _ = full_form(a, params)
-        for e in edges:
-            missing = [v for v in edge_vertices(e) if v not in a]
-            if len(missing) != 1:
+        inv = ~a.bits
+        for j, m in enumerate(table.masks):
+            miss = m & inv
+            if not miss or miss & (miss - 1):
                 continue
-            v = missing[0]
-            for w in edge_vertices(e):
-                if w == v:
-                    continue
-                moved, _ = shift(a, e, w)
+            e = table.edge(j)
+            for w in iter_bits(m & ~miss):
+                moved, _ = shift(a, e, unchecked_vertex(shape, w))
                 checked += 1
                 if full_form(moved, params)[0] != closed:
                     violations += 1

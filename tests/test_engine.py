@@ -27,6 +27,8 @@ from boxperc.lattice import (
     linear_index,
     vertex_at,
 )
+from boxperc.search import random_percolating_set, shift_reach
+from boxperc.transforms import normalize_max_shifts
 
 P22 = Params(2, 2)
 
@@ -337,3 +339,42 @@ def test_step_trace_matches_reference_on_l_sets():
         a = l_set(shape, params)
         for seed in (None, 0, 5):
             assert list(step_by_step(a, params, seed=seed).steps) == naive_step_by_step(a, params, seed)
+
+
+def naive_infecting_edge(a, v, params):
+    """The Edge-tuple scan that infecting_edge replaced."""
+    vbit = 1 << linear_index(a.shape, v)
+    inv = ~a.bits
+    for e, m in zip(all_edges(a.shape, params), _edge_table(a.shape, params).masks):
+        if m & vbit and m & inv == vbit:
+            return e
+    return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(instances(), st.data())
+def test_infecting_edge_matches_edge_tuple_reference(inst, data):
+    shape, params = inst
+    a = CellSet(shape, data.draw(st.integers(0, (1 << cell_count(shape)) - 1)))
+    for idx in range(cell_count(shape)):
+        if not a.bits >> idx & 1:
+            v = vertex_at(shape, idx)
+            assert infecting_edge(a, v, params) == naive_infecting_edge(a, v, params)
+
+
+def test_shift_layer_builds_only_reported_edges():
+    _edge_table.cache_clear()
+    shape, params = GridShape((4, 5)), Params(2, 2)
+    table = _edge_table(shape, params)
+    a = random_percolating_set(shape, params, 4)
+    witness = infecting_edge(a, next(v for v in CellSet.full(shape).cells() if v not in a), params)
+    _, records = normalize_max_shifts(a, params)
+    reach = shift_reach(a, params, "contains-l", max_ops=len(records), maximal_only=True)
+    assert records and reach.records
+    assert table._edges is None
+    built = [witness] + [r.edge for r in records + reach.records]
+    # Edges built before the tuple are its members, and the tuple is what
+    # edge() hands out from then on.
+    edges = all_edges(shape, params)
+    assert all(any(e is f for f in edges) for e in built)
+    assert all(table.edge(k) is edges[k] for k in range(len(edges)))

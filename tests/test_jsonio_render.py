@@ -257,6 +257,36 @@ def test_trace_rejects_malformed_steps(change):
         jsonio.parse_trace(doc)
 
 
+SQUARE = {"axes": [1, 2], "varying": {"1": [1, 2], "2": [1, 2]}, "fixed": {}}
+
+
+@pytest.mark.parametrize(
+    "steps,message",
+    [
+        # (3,3) is not in the square {1,2}x{1,2}, and (1,1) starts infected.
+        ([[3, 3], [1, 1]], r"step 1 infects \[3, 3\], which is not the one cell"),
+        ([[2, 2], [1, 1]], r"step 2 infects \[1, 1\], already infected"),
+        ([[2, 2], [2, 2]], r"step 2 infects \[2, 2\], already infected"),
+    ],
+)
+def test_trace_rejects_steps_their_edges_do_not_witness(steps, message, capsys, monkeypatch):
+    doc = {"shape": [3, 3], "t": 2, "r": 2, "start": [[1, 1], [1, 2], [2, 1]],
+           "steps": [{"v": v, "edge": SQUARE} for v in steps]}
+    with pytest.raises(InstanceError, match=message):
+        jsonio.parse_trace(doc)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    rc = main(["render"])
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == "" and "error:" in out.err
+
+
+def test_trace_rejects_a_step_whose_edge_misses_two_cells():
+    doc = {"shape": [3, 3], "t": 2, "r": 2, "start": [[1, 1]],
+           "steps": [{"v": [2, 2], "edge": SQUARE}]}
+    with pytest.raises(InstanceError, match="not the one cell"):
+        jsonio.parse_trace(doc)
+
+
 def test_trace_rejects_non_integer_phase_cells():
     doc = {"shape": [2, 2], "t": 2, "r": 2, "phases": [[[1, 1]], [[1, 1], [2, 1.5]]]}
     with pytest.raises(InstanceError, match="list of integers"):

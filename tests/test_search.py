@@ -2,10 +2,20 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxperc.constructions import l_set, m_formula
-from boxperc.engine import full_form, one_phase, percolates
-from boxperc.lattice import CellSet, GridShape, Params, cell_count
+from boxperc.engine import _edge_table, all_edges, full_form, one_phase, percolates
+from boxperc.lattice import (
+    CellSet,
+    GridShape,
+    Params,
+    cell_count,
+    edge_vertices,
+    linear_index,
+    vertex_at,
+)
 from boxperc.search import (
     colex_combinations,
     min_one_phase_size,
@@ -14,7 +24,7 @@ from boxperc.search import (
     random_percolating_set,
     shift_reach,
 )
-from boxperc.transforms import shift
+from boxperc.transforms import ShiftRecord, shift
 
 P22 = Params(2, 2)
 
@@ -182,9 +192,6 @@ def test_shift_reach_inconclusive_when_bounded():
 
 
 def _first_shift(a):
-    from boxperc.engine import all_edges
-    from boxperc.lattice import edge_vertices
-
     for e in all_edges(a.shape, P22):
         missing = [v for v in edge_vertices(e) if v not in a]
         if len(missing) == 1:
@@ -192,3 +199,113 @@ def _first_shift(a):
                 if w != missing[0]:
                     return e, w
     raise AssertionError("no shift available")
+
+
+# Reference: the shift BFS over the Edge tuple, reading each infecting
+# edge's vertices through edge_vertices and its corner through max_corner.
+
+
+def naive_shift_reach(a, params, goal, max_ops, max_states, maximal_only):
+    shape = a.shape
+    masks = _edge_table(shape, params).masks
+    edges = all_edges(shape, params)
+    full = (1 << cell_count(shape)) - 1
+
+    if goal == "contains-l":
+        lbits = l_set(shape, params).bits
+        goal_fn = lambda bits: bits & lbits == lbits
+    else:
+        goal_fn = lambda bits: one_phase(CellSet(shape, bits), params)
+    if max_states < 1:
+        return "inconclusive", None, 0, 0
+    if goal_fn(a.bits):
+        return "found", (), 1, 0
+    visited = {a.bits}
+    parents = {}
+    frontier = [a.bits]
+    depth = 0
+    truncated = False
+    while frontier and depth < max_ops and not truncated:
+        nxt = []
+        for state in frontier:
+            for e, m in zip(edges, masks):
+                miss = m & ~state & full
+                if not miss or miss & (miss - 1):
+                    continue
+                v = vertex_at(shape, miss.bit_length() - 1)
+                for w in edge_vertices(e):
+                    if w == v or (maximal_only and w != e.max_corner()):
+                        continue
+                    succ = (state | miss) & ~(1 << linear_index(shape, w))
+                    if succ in visited:
+                        continue
+                    if len(visited) >= max_states:
+                        truncated = True
+                        break
+                    visited.add(succ)
+                    parents[succ] = (state, ShiftRecord(e, v, w, w == e.max_corner()))
+                    if goal_fn(succ):
+                        chain = []
+                        while succ != a.bits:
+                            succ, rec = parents[succ]
+                            chain.append(rec)
+                        return "found", tuple(reversed(chain)), len(visited), depth + 1
+                    nxt.append(succ)
+                if truncated:
+                    break
+            if truncated:
+                break
+        # A cut pass still counts as a level reached.
+        frontier = nxt
+        depth += 1
+    status = "inconclusive" if truncated or frontier else "unreachable"
+    return status, None, len(visited), depth
+
+
+@st.composite
+def shift_instances(draw):
+    d = draw(st.sampled_from((2, 3)))
+    dims = tuple(draw(st.lists(st.integers(2, 5 - d), min_size=d, max_size=d)))
+    shape = GridShape(dims)
+    params = Params(draw(st.sampled_from((2, 3))), draw(st.integers(1, d)))
+    start = random_percolating_set(shape, params, draw(st.integers(0, 2**31)))
+    # Extra cells give starts that are not deletion-minimal.
+    extra = draw(st.integers(0, (1 << cell_count(shape)) - 1)) & draw(
+        st.integers(0, (1 << cell_count(shape)) - 1))
+    return CellSet(shape, start.bits | extra), params
+
+
+def _outcome(res):
+    return res.status, res.records, res.states_explored, res.depth_reached
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shift_instances(),
+    st.sampled_from(("contains-l", "one-phase")),
+    st.booleans(),
+    st.integers(0, 300),
+    st.integers(0, 8),
+)
+def test_shift_reach_matches_edge_tuple_reference(inst, goal, maximal_only, max_states, max_ops):
+    start, params = inst
+    res = shift_reach(start, params, goal, max_ops=max_ops, max_states=max_states,
+                      maximal_only=maximal_only)
+    assert _outcome(res) == naive_shift_reach(start, params, goal, max_ops, max_states, maximal_only)
+
+
+def test_shift_reach_reference_covers_every_status():
+    # Pin one differential case per status, so that the comparison above
+    # never rests on one kind of outcome.
+    start = random_percolating_set(GridShape((3, 3)), P22, 8)
+    cube = min_percolating_size(GridShape((2, 2, 2)), P22).witness
+    cases = [(start, "contains-l", maximal_only, max_states, max_ops)
+             for maximal_only in (False, True) for max_states, max_ops in ((3, 8), (20000, 32))]
+    cases.append((cube, "one-phase", False, 100000, 1000))
+    seen = set()
+    for a, goal, maximal_only, max_states, max_ops in cases:
+        res = shift_reach(a, P22, goal, max_ops=max_ops, max_states=max_states,
+                          maximal_only=maximal_only)
+        assert _outcome(res) == naive_shift_reach(a, P22, goal, max_ops, max_states, maximal_only)
+        seen.add(res.status)
+    assert seen == {"found", "inconclusive", "unreachable"}

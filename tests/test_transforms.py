@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxperc.engine import all_edges, full_form, one_phase, percolates
 from boxperc.lattice import (
@@ -244,6 +246,40 @@ def test_normalize_seeded_order_still_stabilizes():
         if len(missing) == 1:
             assert is_standard_position(e, stable)
     assert len(stable) == len(a)
+
+
+# Reference: the normal form over the Edge tuple. Candidates come from
+# edge_vertices and max_corner, sorted by vertex then Edge.sort_key, and
+# every move goes through shift().
+
+
+def naive_normalize_max_shifts(a, params, seed=None):
+    rng = random.Random(seed) if seed is not None else None
+    records = []
+    while True:
+        candidates = []
+        for e in all_edges(a.shape, params):
+            missing = [v for v in edge_vertices(e) if v not in a]
+            if len(missing) == 1 and missing[0] != e.max_corner():
+                candidates.append((missing[0], e))
+        candidates.sort(key=lambda ve: (ve[0], ve[1].sort_key()))
+        if not candidates:
+            return a, tuple(records)
+        _, e = candidates[0] if rng is None else rng.choice(candidates)
+        a, rec = shift(a, e, e.max_corner())
+        records.append(rec)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_normalize_matches_edge_tuple_reference(data):
+    d = data.draw(st.sampled_from((2, 3)))
+    dims = tuple(data.draw(st.lists(st.integers(1, 6 - d), min_size=d, max_size=d)))
+    shape = GridShape(dims)
+    params = Params(data.draw(st.sampled_from((2, 3))), data.draw(st.integers(1, d)))
+    a = CellSet(shape, data.draw(st.integers(0, (1 << cell_count(shape)) - 1)))
+    seed = data.draw(st.one_of(st.none(), st.integers(0, 2**32)))
+    assert normalize_max_shifts(a, params, seed) == naive_normalize_max_shifts(a, params, seed)
 
 
 def test_p_row_decomposition_single_class():
