@@ -28,13 +28,13 @@ from boxperc import (
 )
 from boxperc.lattice import cell_count
 
-# Exact vs dedup search: dedup skips candidates that are slice permutations
-# of one already checked, and must land on the same minimum.
+# Exact search: every smaller cardinality is exhausted before the first
+# witness of the minimum; candidates with an empty row or column are
+# rejected without a closure.
 shape, params = GridShape((3, 3)), Params(2, 2)
 exact = min_percolating_size(shape, params)
-dedup = min_percolating_size(shape, params, mode="dedup")
-print(f"(3,3): exact minimum {exact.minimum} with {exact.checks} closures; "
-      f"dedup minimum {dedup.minimum} with {dedup.checks} closures")
+print(f"(3,3): exact minimum {exact.minimum}, witness {exact.witness.cells()}; "
+      f"{exact.examined_total} candidates examined, {exact.checks} closures")
 
 # Shift reachability: from any percolating set on a t = r = 2 grid, a
 # sequence of maximal shifts reaches a superset of the L set.

@@ -11,7 +11,6 @@ from .lattice import (
     Edge,
     GridShape,
     Params,
-    canonical_key,
     cell_count,
     check_compatible,
     edge_vertices,
@@ -76,7 +75,6 @@ __all__ = [
     "ShiftRecord",
     "StepTrace",
     "all_edges",
-    "canonical_key",
     "cell_count",
     "check_compatible",
     "edge_vertices",

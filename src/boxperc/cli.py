@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("search", help="exact minimum-size search")
     _shape_args(p)
     p.add_argument("--target", choices=["percolate", "one-phase"], default="percolate")
-    p.add_argument("--mode", choices=["exact", "dedup"], default="exact")
+    p.add_argument("--mode", choices=["exact"], default="exact")
     p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
     p.add_argument("--csv", default=None, help="append a summary row to this CSV file")
 

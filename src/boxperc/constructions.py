@@ -11,10 +11,8 @@ All arithmetic here is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
-
-import numpy as np
 
 from .lattice import CellSet, GridShape, Params, check_compatible
 
@@ -55,9 +53,9 @@ def l_set(shape: GridShape, params: Params) -> CellSet:
 def l_set_cardinality(shape: GridShape, params: Params) -> int:
     """Size of the L set by direct counting (independent of m_formula)."""
     check_compatible(shape, params)
-    grids = np.indices(shape.dims)
-    exceed = sum((g + 1 > params.t - 1).astype(np.int64) for g in grids)
-    return int((exceed <= params.r - 1).sum())
+    # Walk every cell, as its tuple of "coordinate exceeds t - 1" flags.
+    high = [[c > params.t - 1 for c in range(1, n + 1)] for n in shape.dims]
+    return sum(1 for flags in product(*high) if sum(flags) <= params.r - 1)
 
 
 def m_formula(shape: GridShape, params: Params) -> MFormulaTerms:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .engine import PhaseTrace, StepTrace
+from .engine import PhaseTrace, StepTrace, phase_step
 from .lattice import (
     CellSet,
     Edge,
@@ -193,7 +193,6 @@ def search_report_to_json(report: SearchReport) -> dict:
         "checks": report.checks,
         "duration_ms": report.duration_ms,
         "exact": report.exact,
-        "dedup": report.dedup,
         "budget": report.budget,
         "refuted_below": report.refuted_below,
     }
@@ -236,6 +235,9 @@ def parse_trace(doc: str | dict) -> tuple[Params, list[CellSet], str, list[Edge]
     Returns (params, stages, kind, edges): stages[i] is the infected set
     after stage i, kind is "phases" or "steps", and for step traces
     edges[i] is the hyperedge witnessing step i + 1 (empty for phases).
+    Both kinds are replayed: each phase must be the phase step of the one
+    before and the last a fixpoint; each step must infect the one cell of
+    its edge missing from the stage before it.
     """
     if isinstance(doc, str):
         try:
@@ -254,6 +256,20 @@ def parse_trace(doc: str | dict) -> tuple[Params, list[CellSet], str, list[Edge]
         if "phases" in doc:
             stages = [CellSet.from_cells(shape, _cells(cells, "trace: phase"))
                       for cells in _require(doc, "phases", list, "trace")]
+            if not stages:
+                raise InstanceError("trace: a phases trace needs at least one phase")
+            # Phases grow by phase steps up to the fixpoint, which ends the trace.
+            for i, stage in enumerate(stages):
+                step = phase_step(stage, params)
+                if i + 1 == len(stages):
+                    if step != stage:
+                        raise InstanceError(f"trace: the last phase {i} is not a fixpoint")
+                elif step == stage:
+                    raise InstanceError(
+                        f"trace: phase {i} is a fixpoint, but phase {i + 1} follows it"
+                    )
+                elif step != stages[i + 1]:
+                    raise InstanceError(f"trace: phase {i + 1} is not the phase step of phase {i}")
             return params, stages, "phases", []
         if "steps" in doc:
             current = CellSet.from_cells(shape, _cells(doc.get("start", []), "trace: start"))

@@ -1,4 +1,4 @@
-"""Grid substrate: shapes, cell sets, hyperedges, slices, and symmetry keys.
+"""Grid substrate: shapes, cell sets, hyperedges and slices.
 
 The vertex set of a box grid is [n1] x [n2] x ... x [nd] with 1-based
 coordinates. A hyperedge is an axis-aligned product I1 x ... x Id in which
@@ -16,10 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations, product
-from typing import Iterable, Iterator, Optional
+from itertools import product
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Vertex = tuple[int, ...]
 
@@ -27,8 +28,6 @@ Vertex = tuple[int, ...]
 MAX_DENSE_CELLS = 1 << 20
 # GridShape itself only requires the cell count to stay a native-size integer.
 MAX_SHAPE_CELLS = 1 << 62
-# canonical_key tries at most this many slice-permutation combinations.
-CANONICAL_PERM_BUDGET = 50_000
 
 
 @dataclass(frozen=True)
@@ -172,6 +171,8 @@ class CellSet:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "CellSet":
+        import numpy as np
+
         shape = GridShape(tuple(int(n) for n in arr.shape))
         flat = np.asarray(arr, dtype=bool).reshape(-1)
         bits = 0
@@ -180,6 +181,8 @@ class CellSet:
         return cls(shape, bits)
 
     def to_array(self) -> np.ndarray:
+        import numpy as np
+
         arr = np.zeros(cell_count(self.shape), dtype=bool)
         for idx in iter_bits(self.bits):
             arr[idx] = True
@@ -315,10 +318,20 @@ def validate_edge(edge: Edge, shape: GridShape, params: Params) -> None:
 
 
 def edge_mask(edge: Edge, shape: GridShape) -> int:
-    """Occupancy mask of the edge's vertices; raises if one is off the shape."""
-    bits = 0
-    for v in edge_vertices(edge):
-        bits |= 1 << linear_index(shape, v)
+    """Occupancy mask of the edge's vertices; raises if one is off the shape.
+
+    An index set S on an axis of row-major stride w contributes the factor
+    sum(2**((c-1)*w) for c in S). Cells have distinct row-major offsets, so
+    the product of the factors has exactly the edge's bits set.
+    """
+    if edge.d != shape.d:
+        raise ValueError(f"edge has {edge.d} axes, shape has {shape.d}")
+    bits, stride = 1, 1
+    for s, n in zip(reversed(edge.sets), reversed(shape.dims)):
+        if s[-1] > n:
+            raise ValueError(f"edge index set {s} out of bounds for {shape.dims}")
+        bits *= sum(1 << (c - 1) * stride for c in s)
+        stride *= n
     return bits
 
 
@@ -386,39 +399,3 @@ def permute_slices(a: CellSet, axis: int, order: Iterable[int]) -> CellSet:
         w[axis - 1] = new_of_old[v[axis - 1]]
         bits |= 1 << linear_index(a.shape, w)
     return CellSet(a.shape, bits)
-
-
-def _shape_header(shape: GridShape) -> bytes:
-    return ("x".join(str(n) for n in shape.dims)).encode() + b";"
-
-
-def canonical_key(a: CellSet, perm_budget: int = CANONICAL_PERM_BUDGET) -> bytes:
-    """A byte key constant across slice permutations of the set.
-
-    The key is the lexicographically least occupancy byte string over all
-    combinations of slice permutations (independently per axis): the
-    permutations of the first d-1 axes are enumerated outright and the last
-    axis is then sorted greedily, which is exact because the last axis
-    varies fastest in the byte order. Equal keys therefore certify that two
-    sets differ only by per-axis slice permutations, which never changes
-    infection behavior; that is what makes the key safe for search dedup.
-
-    If the number of permutation combinations exceeds `perm_budget` the raw
-    occupancy bytes are returned instead (pure but permutation-sensitive),
-    with a distinct prefix so the two regimes can never collide.
-    """
-    dims = a.shape.dims
-    combos = math.prod(math.factorial(n) for n in dims[:-1])
-    if combos > perm_budget:
-        return b"R" + _shape_header(a.shape) + a.to_array().tobytes()
-    arr = a.to_array().reshape(dims)
-    last = dims[-1]
-    best: Optional[bytes] = None
-    for perms in product(*(permutations(range(n)) for n in dims[:-1])):
-        view = arr[np.ix_(*perms, range(last))] if perms else arr
-        flat = view.reshape(-1, last)
-        col_order = sorted(range(last), key=lambda c: flat[:, c].tobytes())
-        cand = flat[:, col_order].tobytes()
-        if best is None or cand < best:
-            best = cand
-    return b"C" + _shape_header(a.shape) + best

@@ -1,15 +1,34 @@
 """Brute-force oracles: exact minimum sizes, samplers, shift reachability.
 
 The minimum-size searches enumerate candidate sets in colex order over
-linear indices, one cardinality at a time. A cardinality is only declared
-the minimum after the previous cardinality has been exhausted without a
-witness, so a completed report is exact by construction. Every predicate
-evaluation counts against an explicit budget; when the budget runs out the
-report is returned flagged non-exhaustive instead of guessing.
+linear indices, one cardinality (layer) at a time. A cardinality is only
+declared the minimum after the previous cardinality has been exhausted
+without a witness, so a completed report is exact by construction. Every
+predicate evaluation counts against an explicit budget; when the budget
+runs out the report is returned flagged non-exhaustive instead of guessing.
 
-Colex order makes the enumeration restartable and splittable: the rank of
-a combination is a sum of binomials, so the space partitions into
-contiguous ranges with a deterministic merge (smallest witness wins).
+A layer is tested in blocks of at most BLOCK consecutive candidates, all
+at once. A block is held bit-sliced: one int per cell, whose bit j is set
+when candidate j of the block holds that cell. Pascal's rule builds the
+columns: colex(m, k) is colex(m - 1, k) followed by colex(m - 1, k - 1)
+with cell m - 1 added, so each column is an OR of shifted columns of
+smaller layers, and a layer too large for one block splits by the same
+rule into blocks that follow each other in colex order.
+
+The predicates become column arithmetic over the edge table's cell
+lists. For every edge E and cell v of E, the candidates holding every
+other cell of E can infect v: the AND of those columns, ORed into v's
+column. Percolation repeats this in place until a sweep changes nothing;
+the column of each cell then holds the candidates whose closure contains
+it, and a candidate percolates when it is set in every column. One phase
+makes one such pass that reads only the start columns. The empty-slice
+prune keeps the candidates set in some column of every row and column.
+
+The report is read off the block with popcounts: the witness is the first
+candidate that is live (not pruned) and meets the target, `checks` counts
+the live candidates up to it, and when the budget runs out first the
+search stops at the live candidate past it. So `examined`, `checks` and
+the witness are those of testing the candidates one by one in colex order.
 """
 
 from __future__ import annotations
@@ -17,6 +36,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import reduce
+from math import comb
+from operator import and_
 from typing import Callable, Iterator, Optional
 
 from .constructions import l_set
@@ -25,15 +47,17 @@ from .lattice import (
     CellSet,
     GridShape,
     Params,
-    canonical_key,
     cell_count,
     check_compatible,
+    iter_bits,
     slice_mask,
     unchecked_vertex,
 )
 from .transforms import ShiftRecord
 
 DEFAULT_BUDGET = 10**8
+# Candidates tested together: a column is an int of at most 4 KiB.
+BLOCK = 1 << 15
 
 
 @dataclass
@@ -49,7 +73,6 @@ class SearchReport:
     checks: int = 0
     duration_ms: int = 0
     exact: bool = True
-    dedup: bool = False
     budget: int = DEFAULT_BUDGET
     refuted_below: int = 0
 
@@ -68,65 +91,153 @@ def colex_combinations(n: int, k: int) -> Iterator[tuple[int, ...]]:
             yield rest + (top,)
 
 
-def _prune_empty_slice(shape: GridShape, params: Params) -> Optional[Callable[[int], bool]]:
+def _colex_columns(m: int, k: int, memo: dict) -> tuple[int, ...]:
+    """Columns of colex(m, k): bit j of entry c is set when the j-th
+    k-subset of range(m) holds c."""
+    cols = memo.get((m, k))
+    if cols is None:
+        if k == 0 or k == m:
+            cols = (int(k > 0),) * m
+        else:
+            # Pascal's rule: the subsets without cell m - 1 come first.
+            low = comb(m - 1, k)
+            without = _colex_columns(m - 1, k, memo)
+            with_top = _colex_columns(m - 1, k - 1, memo)
+            cols = (*(a | b << low for a, b in zip(without, with_top)),
+                    ((1 << comb(m - 1, k - 1)) - 1) << low)
+        memo[(m, k)] = cols
+    return cols
+
+
+def _layer_blocks(n: int, k: int, memo: dict) -> Iterator[tuple[int, list[int]]]:
+    """colex(n, k) in consecutive blocks of at most BLOCK candidates, as
+    (size, one column per cell)."""
+
+    def split(m: int, k: int, top: int) -> Iterator[tuple[int, list[int]]]:
+        # `top` holds the cells from m up that every candidate here holds.
+        size = comb(m, k)
+        if size > BLOCK:
+            yield from split(m - 1, k, top)
+            yield from split(m - 1, k - 1, top | 1 << (m - 1))
+        else:
+            ones = (1 << size) - 1
+            rest = (ones if top >> c & 1 else 0 for c in range(m, n))
+            yield size, [*_colex_columns(m, k, memo), *rest]
+
+    return split(n, k, 0)
+
+
+def _edge_cells(shape: GridShape, params: Params) -> list[tuple[int, ...]]:
+    return [tuple(iter_bits(m)) for m in _edge_table(shape, params).masks]
+
+
+def _infect(src: list[int], dst: list[int], edges, ones: int) -> bool:
+    """For every edge E and cell v of E, OR into dst[v] the AND of src over
+    the other cells of E; True when some column of dst grew.
+
+    The other cells of E are a prefix and a suffix of its cell list, so
+    prefix ANDs and a running suffix AND cost O(|E|) per edge.
+    """
+    grew = False
+    for cells in edges:
+        pre = [ones]
+        for c in cells:
+            pre.append(pre[-1] & src[c])
+        suf = ones
+        for i in range(len(cells) - 1, -1, -1):
+            c = cells[i]
+            add = pre[i] & suf & ~dst[c]
+            suf &= src[c]
+            if add:
+                dst[c] |= add
+                grew = True
+    return grew
+
+
+def _prune_empty_slice(
+    shape: GridShape, params: Params
+) -> Optional[Callable[[list[int], int], int]]:
     """Sound rejection for d = r = 2, t = 2: a proper subset with an empty
-    row or column can never percolate, because an empty row stays empty."""
+    row or column can never percolate, because an empty row stays empty.
+    The full set has no empty slice, so it is never rejected.
+
+    Returns None elsewhere, and otherwise a function giving the live
+    candidates of a block: those holding a cell of every row and column."""
     if shape.d != 2 or params.t != 2 or params.r != 2:
         return None
-    masks = [slice_mask(shape, 1, m) for m in range(1, shape.dims[0] + 1)]
-    masks += [slice_mask(shape, 2, m) for m in range(1, shape.dims[1] + 1)]
-    full = (1 << cell_count(shape)) - 1
+    slices = [tuple(iter_bits(slice_mask(shape, axis, m)))
+              for axis in (1, 2) for m in range(1, shape.dims[axis - 1] + 1)]
 
-    def prune(bits: int) -> bool:
-        return bits != full and any(bits & m == 0 for m in masks)
+    def live(cols: list[int], ones: int) -> int:
+        out = ones
+        for cells in slices:
+            some = 0
+            for c in cells:
+                some |= cols[c]
+            out &= some
+        return out
 
-    return prune
+    return live
+
+
+def _nth_bit(bits: int, count: int) -> int:
+    """Index of the set bit of `bits` with exactly `count` set bits below it."""
+    lo, hi = 0, bits.bit_length() - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (bits & ((2 << mid) - 1)).bit_count() > count:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _min_size(
     shape: GridShape,
     params: Params,
     target: str,
-    predicate: Callable[[int], bool],
+    hits: Callable[[list[int], int], int],
     mode: str,
     budget: int,
-    prune: Optional[Callable[[int], bool]],
+    live: Optional[Callable[[list[int], int], int]],
 ) -> SearchReport:
-    if mode not in ("exact", "dedup"):
+    if mode != "exact":
         raise ValueError(f"unknown search mode {mode!r}")
-    dedup = mode == "dedup"
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     n = cell_count(shape)
-    report = SearchReport(
-        shape, params, target, None, None, exact=True, dedup=dedup, budget=budget
-    )
+    report = SearchReport(shape, params, target, None, None, budget=budget)
     start = time.perf_counter()
+    memo: dict = {}
     for k in range(n + 1):
         report.examined[k] = 0
-        seen: set[bytes] = set()
-        for combo in colex_combinations(n, k):
-            bits = 0
-            for i in combo:
-                bits |= 1 << i
-            report.examined[k] += 1
-            if prune is not None and prune(bits):
-                continue
-            if dedup:
-                key = canonical_key(CellSet(shape, bits))
-                if key in seen:
-                    continue
-                seen.add(key)
-            if report.checks >= budget:
+        for size, cols in _layer_blocks(n, k, memo):
+            ones = (1 << size) - 1
+            alive = ones if live is None else live(cols, ones)
+            # The budget allows `room` more checks: it runs out at the live
+            # candidate after them, or not in this block.
+            room = budget - report.checks
+            stop = _nth_bit(alive, room) if alive.bit_count() > room else size
+            found = hits(cols, ones) & alive & ((1 << stop) - 1)
+            if found:
+                j = (found & -found).bit_length() - 1
+                report.examined[k] += j + 1
+                report.checks += (alive & ((2 << j) - 1)).bit_count()
+                report.minimum = report.refuted_below = k
+                report.witness = CellSet(
+                    shape, sum(1 << c for c, col in enumerate(cols) if col >> j & 1)
+                )
+            elif stop < size:
+                report.examined[k] += stop + 1
+                report.checks = budget
                 report.exact = False
                 report.refuted_below = k
-                report.duration_ms = int((time.perf_counter() - start) * 1000)
-                return report
-            report.checks += 1
-            if predicate(bits):
-                report.minimum = k
-                report.witness = CellSet(shape, bits)
-                report.refuted_below = k
-                report.duration_ms = int((time.perf_counter() - start) * 1000)
-                return report
+            else:
+                report.examined[k] += size
+                report.checks += alive.bit_count()
+                continue
+            report.duration_ms = int((time.perf_counter() - start) * 1000)
+            return report
     raise AssertionError("the full grid always satisfies both targets")
 
 
@@ -138,12 +249,18 @@ def min_percolating_size(
 ) -> SearchReport:
     """Exact minimum size of a percolating set, by ascending enumeration."""
     check_compatible(shape, params)
-    masks = _edge_table(shape, params).masks
-    full = (1 << cell_count(shape)) - 1
-    predicate = lambda bits: _closure_bits(bits, masks, full) == full
+    edges = _edge_cells(shape, params)
+
+    def hits(cols: list[int], ones: int) -> int:
+        # Infect in place until nothing grows: each column is then the
+        # candidates whose closure holds that cell.
+        closed = list(cols)
+        while _infect(closed, closed, edges, ones):
+            pass
+        return reduce(and_, closed, ones)
+
     return _min_size(
-        shape, params, "percolate", predicate, mode, budget,
-        _prune_empty_slice(shape, params),
+        shape, params, "percolate", hits, mode, budget, _prune_empty_slice(shape, params)
     )
 
 
@@ -155,10 +272,14 @@ def min_one_phase_size(
 ) -> SearchReport:
     """Exact minimum size of a set whose first phase already covers the grid."""
     check_compatible(shape, params)
-    masks = _edge_table(shape, params).masks
-    full = (1 << cell_count(shape)) - 1
-    predicate = lambda bits: bits | _scan_additions(bits, masks) == full
-    return _min_size(shape, params, "one-phase", predicate, mode, budget, None)
+    edges = _edge_cells(shape, params)
+
+    def hits(cols: list[int], ones: int) -> int:
+        phase = list(cols)
+        _infect(cols, phase, edges, ones)
+        return reduce(and_, phase, ones)
+
+    return _min_size(shape, params, "one-phase", hits, mode, budget, None)
 
 
 def _reverse_deletion(

@@ -23,10 +23,11 @@ from .lattice import (
     Params,
     Vertex,
     check_vertex,
-    edge_vertices,
+    edge_mask,
     linear_index,
     p_slice,
     permute_slices,
+    unchecked_index,
     unchecked_vertex,
 )
 
@@ -182,25 +183,27 @@ def standardize_blocking_corner(a: CellSet, params: Params) -> Optional[Blocking
     return BlockingAlignment(aligned, row_order, col_order, (t, t), new_edge)
 
 
-def _missing_vertex(a: CellSet, e: Edge) -> Vertex:
-    outside = [v for v in edge_vertices(e) if v not in a]
-    if len(outside) != 1:
+def _missing_bit(a: CellSet, e: Edge) -> tuple[int, int]:
+    """(edge mask, bit of its one cell outside `a`); raises if the edge is
+    off the shape or not an infecting edge of `a`."""
+    mask = edge_mask(e, a.shape)
+    miss = mask & ~a.bits
+    if not miss or miss & (miss - 1):
         raise ValueError(
-            f"edge {e.sets} is not an infecting edge here ({len(outside)} vertices missing)"
+            f"edge {e.sets} is not an infecting edge here ({miss.bit_count()} vertices missing)"
         )
-    return outside[0]
+    return mask, miss
 
 
 def shift(a: CellSet, e: Edge, w) -> tuple[CellSet, ShiftRecord]:
     """Swap the missing vertex of infecting edge `e` in and member `w` out."""
-    for s, n in zip(e.sets, a.shape.dims):
-        if s[-1] > n:
-            raise ValueError(f"edge index set {s} out of bounds for {a.shape.dims}")
-    v = _missing_vertex(a, e)
+    mask, miss = _missing_bit(a, e)
     w = check_vertex(a.shape, w)
-    if w == v or w not in edge_vertices(e):
+    wbit = 1 << unchecked_index(a.shape, w)
+    if wbit == miss or not mask & wbit:
         raise ValueError(f"{w} is not an infected vertex of the edge")
-    moved = a.with_cells([v]).without_cells([w])
+    moved = CellSet(a.shape, (a.bits | miss) & ~wbit)
+    v = unchecked_vertex(a.shape, miss.bit_length() - 1)
     record = ShiftRecord(e, v, w, maximal=w == e.max_corner())
     return moved, record
 
@@ -208,7 +211,9 @@ def shift(a: CellSet, e: Edge, w) -> tuple[CellSet, ShiftRecord]:
 def is_standard_position(e: Edge, a: CellSet) -> bool:
     """True when the missing vertex of the infecting edge is the corner of
     maximal coordinate sum (so no maximal shift applies)."""
-    return _missing_vertex(a, e) == e.max_corner()
+    mask, miss = _missing_bit(a, e)
+    # The maximal corner is the edge's highest bit.
+    return miss.bit_length() == mask.bit_length()
 
 
 def _nonstandard_candidates(bits: int, masks) -> list[tuple[int, int]]:

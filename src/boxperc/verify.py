@@ -476,23 +476,6 @@ def suite_formula_vs_oracle(
         report.add(
             "one-phase-oracle-vs-bound", f"{dims} t=3 r=2", expected, res.minimum, ok
         )
-    for dims, t, r in (((3, 3), 2, 2), ((2, 3), 2, 2), ((2, 2, 2), 2, 2)):
-        exact = min_percolating_size(GridShape(dims), Params(t, r), budget=budget)
-        dedup = min_percolating_size(
-            GridShape(dims), Params(t, r), mode="dedup", budget=budget
-        )
-        ok = (
-            None
-            if not (exact.exact and dedup.exact)
-            else exact.minimum == dedup.minimum
-        )
-        report.add(
-            "dedup-agrees-with-exact",
-            f"{dims} t={t} r={r}",
-            exact.minimum,
-            dedup.minimum,
-            ok,
-        )
     bad = 0
     total = 0
     for d in range(1, 5):

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +125,25 @@ def test_search_budget_exit_code(capsys):
     )
     assert rc == 3
     assert json.loads(out)["exact"] is False
+    # A zero budget checks nothing: the search stops at the first candidate
+    # the empty-slice prune lets through.
+    rc, out, _ = run(
+        capsys, "search", "--shape", "3,3", "--t", "2", "--r", "2", "--budget", "0",
+    )
+    doc = json.loads(out)
+    assert rc == 3 and doc["checks"] == 0 and doc["refuted_below"] == 3
+    assert doc["examined_per_size"] == {"0": 1, "1": 9, "2": 36, "3": 29}
+
+
+def test_search_rejects_negative_budget_and_unknown_mode(capsys):
+    rc, out, err = run(
+        capsys, "search", "--shape", "3,3", "--t", "2", "--r", "2", "--budget", "-5",
+    )
+    assert rc == 2 and out == "" and "budget must be nonnegative" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--shape", "3,3", "--t", "2", "--r", "2", "--mode", "dedup"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'dedup'" in capsys.readouterr().err
 
 
 def test_search_one_phase_target(capsys):
@@ -231,3 +254,14 @@ def test_invalid_inputs_exit_two(tmp_path, capsys):
     big = write_instance(tmp_path, name="4d.json", shape=[2, 2, 2, 2], cells=[[1, 1, 1, 1]])
     rc, _, err = run(capsys, "render", "--input", str(big))
     assert rc == 2 and "3 dimensions" in err
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy serves only CellSet.to_array/from_array, which import it on call.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, boxperc.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "False\n"

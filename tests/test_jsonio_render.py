@@ -293,6 +293,35 @@ def test_trace_rejects_non_integer_phase_cells():
         jsonio.parse_trace(doc)
 
 
+START = [[1, 1], [1, 2], [2, 1]]
+BLOCK = START + [[2, 2]]
+
+
+@pytest.mark.parametrize(
+    "phases,message",
+    [
+        # Phase 1 drops every start cell and adds (3,3), which no edge infects.
+        ([START, [[3, 3]]], r"phase 1 is not the phase step of phase 0"),
+        ([START, BLOCK + [[3, 3]]], r"phase 1 is not the phase step of phase 0"),
+        ([START], r"the last phase 0 is not a fixpoint"),
+        ([START, BLOCK, BLOCK], r"phase 1 is a fixpoint, but phase 2 follows it"),
+        ([], r"needs at least one phase"),
+    ],
+)
+def test_trace_rejects_phases_that_are_not_phase_steps(phases, message, capsys, monkeypatch):
+    doc = {"shape": [3, 3], "t": 2, "r": 2, "phases": phases}
+    with pytest.raises(InstanceError, match=message):
+        jsonio.parse_trace(doc)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    rc = main(["render"])
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == "" and "error:" in out.err
+    # The phase trace of the start set itself renders.
+    doc["phases"] = [START, BLOCK]
+    _, stages, _, _ = jsonio.parse_trace(doc)
+    assert stages == list(full_form(stages[0], Params(2, 2))[1].phases)
+
+
 # Naive reference renderer: one membership test per cell through
 # CellSet.__contains__ and a set of edge vertices.
 

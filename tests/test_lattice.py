@@ -10,7 +10,6 @@ from boxperc.lattice import (
     Edge,
     GridShape,
     Params,
-    canonical_key,
     cell_count,
     check_compatible,
     edge_mask,
@@ -171,7 +170,21 @@ def test_edge_vertex_count_is_t_power_r():
                 sets.append((rng.randint(1, dims[i]),))
         e = Edge(tuple(sets))
         assert len(edge_vertices(e)) == t**r
-        assert edge_mask(e, GridShape(dims)).bit_count() == t**r
+        shape = GridShape(dims)
+        mask = edge_mask(e, shape)
+        assert mask.bit_count() == t**r
+        assert mask == sum(1 << linear_index(shape, v) for v in edge_vertices(e))
+        assert mask.bit_length() - 1 == linear_index(shape, e.max_corner())
+
+
+def test_edge_mask_rejects_edges_off_the_shape():
+    shape = GridShape((3, 3))
+    with pytest.raises(ValueError, match="out of bounds"):
+        edge_mask(Edge(((1, 4), (2,))), shape)
+    with pytest.raises(ValueError, match="out of bounds"):
+        edge_mask(Edge(((2,), (1, 4))), shape)
+    with pytest.raises(ValueError, match="axes"):
+        edge_mask(Edge(((1, 2), (1, 2), (1,))), shape)
 
 
 def test_edge_max_corner():
@@ -232,65 +245,6 @@ def test_permute_slices():
     assert len(b) == len(a)
     with pytest.raises(ValueError):
         permute_slices(a, 1, (1, 1, 2))
-
-
-def test_canonical_key_is_pure_and_distinct():
-    shape = GridShape((3, 3))
-    a = CellSet.from_cells(shape, [(1, 1), (2, 3)])
-    assert canonical_key(a) == canonical_key(a)
-    assert canonical_key(CellSet.empty(shape)) != canonical_key(CellSet.full(shape))
-    assert canonical_key(CellSet.empty(shape)) == canonical_key(CellSet.empty(shape))
-
-
-def test_canonical_key_invariant_under_single_axis_permutations():
-    rng = random.Random(17)
-    for dims in ((3, 3), (2, 4), (2, 3, 2)):
-        shape = GridShape(dims)
-        for _ in range(25):
-            a = CellSet(shape, rng.getrandbits(cell_count(shape)))
-            key = canonical_key(a)
-            for axis in range(1, shape.d + 1):
-                order = list(range(1, dims[axis - 1] + 1))
-                rng.shuffle(order)
-                assert canonical_key(permute_slices(a, axis, order)) == key
-
-
-def test_canonical_key_absorbs_column_swap_regression():
-    # Sorting slice patterns to a fixpoint does not absorb later-axis swaps;
-    # the orbit-minimum construction must.
-    shape = GridShape((2, 3))
-    a = CellSet.from_cells(shape, [(1, 1), (2, 2), (2, 3)])
-    swapped = permute_slices(a, 2, (2, 1, 3))
-    assert a != swapped
-    assert canonical_key(a) == canonical_key(swapped)
-
-
-def test_canonical_key_combined_permutations_share_key():
-    shape = GridShape((3, 4))
-    rng = random.Random(23)
-    for _ in range(10):
-        a = CellSet(shape, rng.getrandbits(12))
-        rows = list(range(1, 4))
-        cols = list(range(1, 5))
-        rng.shuffle(rows)
-        rng.shuffle(cols)
-        b = permute_slices(permute_slices(a, 1, rows), 2, cols)
-        assert canonical_key(a) == canonical_key(b)
-
-
-def test_canonical_key_fallback_beyond_budget_is_pure():
-    shape = GridShape((3, 3))
-    a = CellSet.from_cells(shape, [(1, 2), (3, 3)])
-    k1 = canonical_key(a, perm_budget=1)
-    assert k1 == canonical_key(a, perm_budget=1)
-    assert k1.startswith(b"R")
-    assert canonical_key(a).startswith(b"C")
-
-
-def test_canonical_key_separates_shapes():
-    a = CellSet.empty(GridShape((2, 3)))
-    b = CellSet.empty(GridShape((3, 2)))
-    assert canonical_key(a) != canonical_key(b)
 
 
 def test_dense_occupancy_budget():

@@ -1,12 +1,23 @@
+import dataclasses
 import math
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxperc import search
 from boxperc.constructions import l_set, m_formula
-from boxperc.engine import _edge_table, all_edges, full_form, one_phase, percolates
+from boxperc.engine import (
+    _closure_bits,
+    _edge_table,
+    _scan_additions,
+    all_edges,
+    full_form,
+    one_phase,
+    percolates,
+)
 from boxperc.lattice import (
     CellSet,
     GridShape,
@@ -14,9 +25,12 @@ from boxperc.lattice import (
     cell_count,
     edge_vertices,
     linear_index,
+    slice_mask,
     vertex_at,
 )
 from boxperc.search import (
+    SearchReport,
+    _layer_blocks,
     colex_combinations,
     min_one_phase_size,
     min_percolating_size,
@@ -83,16 +97,127 @@ def test_budget_exhaustion_flags_report():
     assert report.checks == 40
 
 
-def test_dedup_mode_agrees_with_exact():
-    for dims, t, r in (((3, 3), 2, 2), ((2, 3), 2, 2), ((2, 2, 2), 2, 2)):
-        shape, params = GridShape(dims), Params(t, r)
-        exact = min_percolating_size(shape, params)
-        dedup = min_percolating_size(shape, params, mode="dedup")
-        assert dedup.minimum == exact.minimum
-        assert dedup.dedup and not exact.dedup
-        # Dedup skips permutation twins, so it checks strictly fewer sets.
-        assert dedup.checks < exact.checks
-        assert percolates(dedup.witness, params)
+def test_search_rejects_unknown_mode_and_negative_budget():
+    for run in (min_percolating_size, min_one_phase_size):
+        with pytest.raises(ValueError, match="unknown search mode 'dedup'"):
+            run(GridShape((3, 3)), P22, mode="dedup")
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            run(GridShape((3, 3)), P22, budget=-1)
+
+
+def _decoded(n, k):
+    """The candidates of the blocks of layer (n, k), read back column by column."""
+    out = []
+    for size, cols in _layer_blocks(n, k, {}):
+        assert len(cols) == n and 0 < size <= search.BLOCK
+        assert all(col < 1 << size for col in cols)
+        out += [tuple(c for c in range(n) if cols[c] >> j & 1) for j in range(size)]
+    return out
+
+
+def test_layer_blocks_decode_to_colex_order():
+    n, k = 18, 9
+    assert math.comb(n, k) > search.BLOCK
+    assert len(list(_layer_blocks(n, k, {}))) > 1
+    assert _decoded(n, k) == list(colex_combinations(n, k))
+    for block in (1, 2, 5):
+        with mock.patch.object(search, "BLOCK", block):
+            for n in range(8):
+                for k in range(n + 1):
+                    assert _decoded(n, k) == list(colex_combinations(n, k)), (block, n, k)
+
+
+# Reference: the search as it ran before it was bit-sliced, testing one
+# candidate at a time in colex order, with the empty-slice prune as a
+# predicate on the candidate's bits.
+
+
+def scalar_min_size(shape, params, target, budget):
+    masks = _edge_table(shape, params).masks
+    n = cell_count(shape)
+    full = (1 << n) - 1
+    if target == "percolate":
+        predicate = lambda bits: _closure_bits(bits, masks, full) == full
+    else:
+        predicate = lambda bits: bits | _scan_additions(bits, masks) == full
+    prune = None
+    if target == "percolate" and shape.d == 2 and params.t == 2 and params.r == 2:
+        slices = [slice_mask(shape, axis, m)
+                  for axis in (1, 2) for m in range(1, shape.dims[axis - 1] + 1)]
+        prune = lambda bits: bits != full and any(bits & m == 0 for m in slices)
+    report = SearchReport(shape, params, target, None, None, budget=budget)
+    for k in range(n + 1):
+        report.examined[k] = 0
+        for combo in colex_combinations(n, k):
+            bits = 0
+            for i in combo:
+                bits |= 1 << i
+            report.examined[k] += 1
+            if prune is not None and prune(bits):
+                continue
+            if report.checks >= budget:
+                report.exact = False
+                report.refuted_below = k
+                return report
+            report.checks += 1
+            if predicate(bits):
+                report.minimum = k
+                report.witness = CellSet(shape, bits)
+                report.refuted_below = k
+                return report
+    raise AssertionError("the full grid always satisfies both targets")
+
+
+def _fields(report):
+    return {f.name: getattr(report, f.name)
+            for f in dataclasses.fields(SearchReport) if f.name != "duration_ms"}
+
+
+def _search(shape, params, target, budget):
+    run = min_percolating_size if target == "percolate" else min_one_phase_size
+    return run(shape, params, budget=budget)
+
+
+@st.composite
+def search_instances(draw):
+    d = draw(st.integers(1, 3))
+    dims = tuple(draw(st.lists(st.integers(1, 10 if d == 1 else 5), min_size=d, max_size=d)
+                      .filter(lambda ds: math.prod(ds) <= 10)))
+    params = Params(draw(st.sampled_from((2, 3))), draw(st.integers(1, d)))
+    return GridShape(dims), params, draw(st.sampled_from(("percolate", "one-phase")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_instances(), st.sampled_from((1, 2, 3, 7, search.BLOCK)), st.data())
+def test_search_matches_scalar_reference(inst, block, data):
+    shape, params, target = inst
+    unlimited = scalar_min_size(shape, params, target, search.DEFAULT_BUDGET)
+    # Budgets from none up to past the minimum's checks, so that cuts land
+    # anywhere in a layer, and in any block of it.
+    budget = data.draw(st.integers(0, unlimited.checks + 2))
+    with mock.patch.object(search, "BLOCK", block):
+        for b in (budget, search.DEFAULT_BUDGET):
+            got = _search(shape, params, target, b)
+            assert _fields(got) == _fields(scalar_min_size(shape, params, target, b))
+
+
+def test_search_matches_scalar_reference_with_the_prune_and_several_blocks():
+    # 2-D grids at t = r = 2 run with the empty-slice prune on.
+    for dims in ((1, 1), (1, 4), (2, 2), (2, 3), (2, 5), (3, 3)):
+        shape = GridShape(dims)
+        for block in (1, 4, search.BLOCK):
+            with mock.patch.object(search, "BLOCK", block):
+                for budget in (0, 1, 3, 8, 20, search.DEFAULT_BUDGET):
+                    got = min_percolating_size(shape, P22, budget=budget)
+                    assert _fields(got) == _fields(scalar_min_size(shape, P22, "percolate", budget))
+    # At the real block size, layers 8 to 10 of (2, 9) span two blocks each.
+    # Budget 400 runs out in the second block of layer 9.
+    shape = GridShape((2, 9))
+    assert math.comb(18, 9) > search.BLOCK
+    for budget in (400, search.DEFAULT_BUDGET):
+        got = min_percolating_size(shape, P22, budget=budget)
+        assert _fields(got) == _fields(scalar_min_size(shape, P22, "percolate", budget))
+        assert got.examined[9] > search.BLOCK
 
 
 def test_min_one_phase_values():

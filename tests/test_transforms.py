@@ -188,6 +188,12 @@ def test_shift_maximal_flag_and_errors():
         shift(CellSet.full(shape), e, (3, 3))  # nothing missing
     with pytest.raises(ValueError):
         shift(a.without_cells([(2, 2)]), e, (3, 3))  # two vertices missing
+    with pytest.raises(ValueError, match="out of bounds"):
+        shift(a, Edge(((1, 2, 4), (1, 2, 3))), (2, 2))  # edge off the grid
+    with pytest.raises(ValueError, match="not an infected vertex"):
+        shift(a, Edge(((1, 2), (1, 2))), (3, 3))  # w outside the edge
+    with pytest.raises(ValueError, match="2 vertices missing"):
+        is_standard_position(e, a.without_cells([(2, 2)]))
 
 
 def test_is_standard_position():
