@@ -8,14 +8,15 @@ input, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import engine, jsonio, render, search, transforms
 from .constructions import l_set, m_formula
 from .jsonio import InstanceError
 from .lattice import CellSet, GridShape, Params, check_compatible
-from .render import RenderError
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -41,9 +42,13 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _parse_shape(text: str) -> GridShape:
+    """Axis lengths: runs of ASCII digits separated by `,` or `x`, nothing else."""
+    if not re.fullmatch(r"[0-9]+([,x][0-9]+)*", text):
+        raise InstanceError(
+            f"bad shape {text!r}: expected axis lengths separated by ',' or 'x', e.g. 5,6 or 2x2x3"
+        )
     try:
-        dims = tuple(int(part) for part in text.replace("x", ",").split(",") if part)
-        return GridShape(dims)
+        return GridShape(tuple(int(part) for part in re.split("[,x]", text)))
     except ValueError as exc:
         raise InstanceError(f"bad shape {text!r}: {exc}") from exc
 
@@ -60,7 +65,11 @@ def _shape_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", default="-", help="output file, or - for stdout")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    later call. `parse_args` fills a fresh namespace each time, so no value
+    carries over from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="boxperc", description="Bootstrap percolation on box grids."
     )
@@ -297,14 +306,12 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (InstanceError, RenderError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # Invalid input (InstanceError and RenderError are ValueErrors) and
+        # files that cannot be read or written.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

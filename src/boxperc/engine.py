@@ -92,8 +92,8 @@ class EdgeTable:
     """Every hyperedge of one (shape, params) pair, in the documented order.
 
     `sets[k]` holds the per-axis index sets of edge k and `masks[k]` its
-    occupancy bitmask. The `Edge` objects and the per-cell incidence lists
-    are built on first use and kept.
+    occupancy bitmask. The `Edge` objects, the per-edge cell lists and the
+    per-cell incidence lists are built on first use and kept.
     """
 
     def __init__(self, shape: GridShape, sets: tuple, masks: tuple[int, ...]) -> None:
@@ -102,6 +102,7 @@ class EdgeTable:
         self.masks = masks
         self._edges: Optional[tuple[Edge, ...]] = None
         self._built: dict[int, Edge] = {}
+        self._cells: Optional[list[tuple[int, ...]]] = None
         self._through: Optional[list[list[int]]] = None
 
     def edge(self, k: int) -> Edge:
@@ -119,6 +120,12 @@ class EdgeTable:
             built = self._built
             self._edges = tuple(built.pop(k, None) or Edge(s) for k, s in enumerate(self.sets))
         return self._edges
+
+    def cells(self) -> list[tuple[int, ...]]:
+        """For each edge, its cells (by linear index), ascending."""
+        if self._cells is None:
+            self._cells = [tuple(iter_bits(m)) for m in self.masks]
+        return self._cells
 
     def through(self) -> list[list[int]]:
         """For each cell (by linear index), the edges containing it, ascending."""

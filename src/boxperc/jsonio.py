@@ -2,7 +2,9 @@
 
 An instance file is {"shape": [n1, ..., nd], "t": T, "r": R,
 "cells": [[c1, ..., cd], ...]} with 1-based coordinates. Parsing validates
-every structural invariant and raises InstanceError with a diagnostic.
+every structural invariant and raises InstanceError with a diagnostic; a
+top-level field the format does not define and a cell listed twice are
+rejected too.
 
 Trace files carry the declared "phases" / "steps" payloads plus the
 instance header fields (shape, t, r) so they can be rendered standalone.
@@ -55,9 +57,23 @@ def _coords(value, what: str) -> tuple[int, ...]:
 
 
 def _cells(value, what: str) -> list[tuple[int, ...]]:
+    """A JSON array of distinct cells; a repeated cell is rejected, not merged."""
     if not isinstance(value, list):
         raise InstanceError(f"{what} must be a list of cells")
-    return [_coords(cell, f"{what}: cell") for cell in value]
+    cells = [_coords(cell, f"{what}: cell") for cell in value]
+    seen: set[tuple[int, ...]] = set()
+    for cell in cells:
+        if cell in seen:
+            raise InstanceError(f"{what}: duplicate cell {list(cell)}")
+        seen.add(cell)
+    return cells
+
+
+def _only(doc: dict, fields: tuple[str, ...], where: str) -> None:
+    """Reject top-level fields the format does not define."""
+    unknown = [key for key in doc if key not in fields]
+    if unknown:
+        raise InstanceError(f"{where}: unknown field {unknown[0]!r}; expected {', '.join(fields)}")
 
 
 def parse_instance(doc: str | dict) -> tuple[CellSet, Params]:
@@ -69,6 +85,7 @@ def parse_instance(doc: str | dict) -> tuple[CellSet, Params]:
             raise InstanceError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
+    _only(doc, ("shape", "t", "r", "cells"), "instance")
     dims = _coords(_require(doc, "shape", list, "instance"), "instance: shape")
     t = _require(doc, "t", int, "instance")
     r = _require(doc, "r", int, "instance")
@@ -246,6 +263,12 @@ def parse_trace(doc: str | dict) -> tuple[Params, list[CellSet], str, list[Edge]
             raise InstanceError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceError("trace document must be a JSON object")
+    if "phases" in doc and "steps" in doc:
+        raise InstanceError("trace: a trace has 'phases' or 'steps', not both")
+    if "phases" in doc:
+        _only(doc, ("shape", "t", "r", "phases"), "trace")
+    elif "steps" in doc:
+        _only(doc, ("shape", "t", "r", "start", "steps"), "trace")
     dims = _coords(_require(doc, "shape", list, "trace"), "trace: shape")
     t = _require(doc, "t", int, "trace")
     r = _require(doc, "r", int, "trace")

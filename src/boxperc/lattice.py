@@ -17,10 +17,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Iterator
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterable, Iterator
 
 Vertex = tuple[int, ...]
 
@@ -168,25 +165,6 @@ class CellSet:
         for cell in cells:
             bits |= 1 << linear_index(shape, cell)
         return cls(shape, bits)
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "CellSet":
-        import numpy as np
-
-        shape = GridShape(tuple(int(n) for n in arr.shape))
-        flat = np.asarray(arr, dtype=bool).reshape(-1)
-        bits = 0
-        for idx in np.flatnonzero(flat):
-            bits |= 1 << int(idx)
-        return cls(shape, bits)
-
-    def to_array(self) -> np.ndarray:
-        import numpy as np
-
-        arr = np.zeros(cell_count(self.shape), dtype=bool)
-        for idx in iter_bits(self.bits):
-            arr[idx] = True
-        return arr.reshape(self.shape.dims)
 
     def cells(self) -> list[Vertex]:
         """Member vertices in ascending coordinate (row-major) order."""

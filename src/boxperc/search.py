@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb
 from operator import and_
 from typing import Callable, Iterator, Optional
@@ -91,44 +91,62 @@ def colex_combinations(n: int, k: int) -> Iterator[tuple[int, ...]]:
             yield rest + (top,)
 
 
-def _colex_columns(m: int, k: int, memo: dict) -> tuple[int, ...]:
+def _colex_columns(m: int, k: int) -> tuple[int, ...]:
     """Columns of colex(m, k): bit j of entry c is set when the j-th
-    k-subset of range(m) holds c."""
-    cols = memo.get((m, k))
-    if cols is None:
-        if k == 0 or k == m:
-            cols = (int(k > 0),) * m
-        else:
-            # Pascal's rule: the subsets without cell m - 1 come first.
-            low = comb(m - 1, k)
-            without = _colex_columns(m - 1, k, memo)
-            with_top = _colex_columns(m - 1, k - 1, memo)
-            cols = (*(a | b << low for a, b in zip(without, with_top)),
-                    ((1 << comb(m - 1, k - 1)) - 1) << low)
-        memo[(m, k)] = cols
-    return cols
+    k-subset of range(m) holds c.
+
+    Pascal's rule, one row of the triangle at a time: row j holds colex(j, i)
+    for the i that lead to (m, k), k - (m - j) <= i <= k. Only two rows are
+    held at once, and nothing recurses, so m may run to thousands of cells.
+    """
+    row = {0: ()}
+    for j in range(1, m + 1):
+        nxt = {}
+        for i in range(max(0, k - m + j), min(k, j) + 1):
+            if i == 0 or i == j:
+                nxt[i] = (int(i > 0),) * j
+            else:
+                # The subsets without cell j - 1 come first.
+                low = comb(j - 1, i)
+                nxt[i] = (*(a | b << low for a, b in zip(row[i], row[i - 1])),
+                          ((1 << comb(j - 1, i - 1)) - 1) << low)
+        row = nxt
+    return row[k]
+
+
+# A whole layer's columns depend on (n, k) alone, so they are kept across
+# searches. An entry is at most n ints of 4 KiB (one per cell); the bound
+# keeps every whole layer of the benchmark's oracle grids (51 of them).
+_whole_layer = lru_cache(maxsize=128)(_colex_columns)
 
 
 def _layer_blocks(n: int, k: int, memo: dict) -> Iterator[tuple[int, list[int]]]:
     """colex(n, k) in consecutive blocks of at most BLOCK candidates, as
-    (size, one column per cell)."""
+    (size, one column per cell).
 
-    def split(m: int, k: int, top: int) -> Iterator[tuple[int, list[int]]]:
-        # `top` holds the cells from m up that every candidate here holds.
-        size = comb(m, k)
+    A layer too large for one block splits by Pascal's rule into the
+    candidates without cell m - 1, then those with it. The columns of a
+    whole layer come from the cache shared by all searches; those of the
+    blocks of a split layer are kept in `memo`, which lives for one search.
+    """
+    stack = [(n, k, 0)]
+    while stack:
+        # colex(m, i) with the cells in `top` added: every candidate here
+        # holds them, and no other cell from m up.
+        m, i, top = stack.pop()
+        size = comb(m, i)
         if size > BLOCK:
-            yield from split(m - 1, k, top)
-            yield from split(m - 1, k - 1, top | 1 << (m - 1))
+            stack.append((m - 1, i - 1, top | 1 << (m - 1)))
+            stack.append((m - 1, i, top))
+            continue
+        if m == n:
+            cols = _whole_layer(n, k)
+        elif (m, i) in memo:
+            cols = memo[m, i]
         else:
-            ones = (1 << size) - 1
-            rest = (ones if top >> c & 1 else 0 for c in range(m, n))
-            yield size, [*_colex_columns(m, k, memo), *rest]
-
-    return split(n, k, 0)
-
-
-def _edge_cells(shape: GridShape, params: Params) -> list[tuple[int, ...]]:
-    return [tuple(iter_bits(m)) for m in _edge_table(shape, params).masks]
+            cols = memo[m, i] = _colex_columns(m, i)
+        ones = (1 << size) - 1
+        yield size, [*cols, *(ones if top >> c & 1 else 0 for c in range(m, n))]
 
 
 def _infect(src: list[int], dst: list[int], edges, ones: int) -> bool:
@@ -249,7 +267,7 @@ def min_percolating_size(
 ) -> SearchReport:
     """Exact minimum size of a percolating set, by ascending enumeration."""
     check_compatible(shape, params)
-    edges = _edge_cells(shape, params)
+    edges = _edge_table(shape, params).cells()
 
     def hits(cols: list[int], ones: int) -> int:
         # Infect in place until nothing grows: each column is then the
@@ -272,7 +290,7 @@ def min_one_phase_size(
 ) -> SearchReport:
     """Exact minimum size of a set whose first phase already covers the grid."""
     check_compatible(shape, params)
-    edges = _edge_cells(shape, params)
+    edges = _edge_table(shape, params).cells()
 
     def hits(cols: list[int], ones: int) -> int:
         phase = list(cols)

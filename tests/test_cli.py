@@ -4,12 +4,14 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from boxperc import jsonio
-from boxperc.cli import main
+from boxperc import cli, jsonio, search
+from boxperc.cli import _parse_shape, main
 from boxperc.engine import one_phase, percolates
+from boxperc.jsonio import InstanceError
 from boxperc.lattice import CellSet, GridShape, Params, cell_count
 
 
@@ -146,6 +148,20 @@ def test_search_rejects_negative_budget_and_unknown_mode(capsys):
     assert "invalid choice: 'dedup'" in capsys.readouterr().err
 
 
+def test_budgeted_search_on_a_large_grid_returns_its_flagged_report(capsys):
+    # Layer 1 of the 40x40 grid has 1600 cells. Its columns, and with
+    # BLOCK = 1 its split into blocks, are built without recursing per cell.
+    for block in (search.BLOCK, 1):
+        with mock.patch.object(search, "BLOCK", block):
+            rc, out, err = run(
+                capsys, "search", "--shape", "40,40", "--t", "2", "--r", "1", "--budget", "1",
+            )
+        doc = json.loads(out)
+        assert rc == 3 and err == ""
+        assert doc["exact"] is False and doc["minimum"] is None and doc["checks"] == 1
+        assert doc["examined_per_size"] == {"0": 1, "1": 1} and doc["refuted_below"] == 1
+
+
 def test_search_one_phase_target(capsys):
     rc, out, _ = run(
         capsys, "search", "--shape", "3,3", "--t", "3", "--r", "2",
@@ -257,7 +273,7 @@ def test_invalid_inputs_exit_two(tmp_path, capsys):
 
 
 def test_cli_import_leaves_numpy_out():
-    # numpy serves only CellSet.to_array/from_array, which import it on call.
+    # boxperc has no runtime dependency; numpy must not come in by accident.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -265,3 +281,70 @@ def test_cli_import_leaves_numpy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out == "False\n"
+
+
+def test_io_errors_exit_two(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "x.json"
+    for argv, message in (
+        (["lset", "--shape", "3,3", "--t", "2", "--r", "2", "--output", str(missing)], "No such file"),
+        (["check", "--input", str(tmp_path)], "Is a directory"),
+        (["search", "--shape", "2,2", "--t", "2", "--r", "2", "--csv", str(missing)], "No such file"),
+    ):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2 and err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["3,,4", "x3x4", "3,4,", "1_0,3", " 3,4", "3;4", "3X4", "", "\u0663,4"])
+def test_shape_must_be_digit_runs(text, capsys):
+    with pytest.raises(InstanceError, match="bad shape"):
+        _parse_shape(text)
+    for command in ("lset", "mvalue", "search"):
+        rc, out, err = run(capsys, command, "--shape", text, "--t", "2", "--r", "2")
+        assert rc == 2 and out == "" and "bad shape" in err
+
+
+def test_shape_separators():
+    assert _parse_shape("3,4").dims == (3, 4)
+    assert _parse_shape("2x2x3").dims == (2, 2, 3)
+    assert _parse_shape("2x2,3").dims == (2, 2, 3)
+    assert _parse_shape("12").dims == (12,)
+
+
+def test_parser_is_built_once_and_carries_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    path = write_instance(tmp_path, shape=[3, 3], cells=[[1, 1], [1, 2], [1, 3], [2, 1], [3, 1]])
+    search_args = ["search", "--shape", "3,3", "--t", "2", "--r", "2"]
+    sequence = [
+        search_args + ["--budget", "0"],
+        ["search", "--shape", "3,3", "--t", "2"],  # argparse error: --r missing
+        search_args,
+        ["percolate", "--input", str(path), "--steps", "--seed", "3"],
+        ["--help"],
+        ["percolate", "--input", str(path), "--steps"],
+    ]
+
+    def outcomes():
+        got = []
+        for argv in sequence:
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = f"SystemExit {exc.code}"
+            out, err = capsys.readouterr()
+            if argv[0] == "search" and rc in (0, 3):
+                doc = json.loads(out)
+                del doc["duration_ms"]
+                out = json.dumps(doc)
+            got.append((rc, out, err))
+        return got
+
+    shared = outcomes()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = outcomes()
+    assert shared == fresh
+    codes = [rc for rc, _, _ in shared]
+    assert codes == [3, "SystemExit 2", 0, 0, "SystemExit 0", 0]
+    # The unseeded trace differs from the seeded one, so a seed left over
+    # from the call before would show.
+    assert shared[3][1] != shared[5][1]

@@ -24,10 +24,16 @@ from boxperc.lattice import (
     Params,
     cell_count,
     edge_vertices,
+    iter_bits,
     linear_index,
     vertex_at,
 )
-from boxperc.search import random_percolating_set, shift_reach
+from boxperc.search import (
+    min_one_phase_size,
+    min_percolating_size,
+    random_percolating_set,
+    shift_reach,
+)
 from boxperc.transforms import normalize_max_shifts
 
 P22 = Params(2, 2)
@@ -309,6 +315,11 @@ def test_edge_table_matches_sorted_reference(inst):
     edges, masks = naive_edge_table(shape, params)
     assert all_edges(shape, params) == tuple(edges)
     assert _edge_table(shape, params).masks == tuple(masks)
+    assert _edge_table(shape, params).cells() == naive_edge_cells(shape, edges)
+
+
+def naive_edge_cells(shape, edges):
+    return [tuple(sorted(linear_index(shape, v) for v in product(*e.sets))) for e in edges]
 
 
 @pytest.mark.parametrize("dims,t", [((2, 3, 2, 3), 2), ((3, 2, 4, 3), 3)])
@@ -320,6 +331,7 @@ def test_four_dimensional_edge_table_matches_reference(dims, t):
         assert all_edges(shape, params) == tuple(edges)
         assert tuple(sorted(edges, key=Edge.sort_key)) == tuple(edges)
         assert _edge_table(shape, params).masks == tuple(masks)
+        assert _edge_table(shape, params).cells() == naive_edge_cells(shape, edges)
 
 
 @settings(max_examples=120, deadline=None)
@@ -378,3 +390,15 @@ def test_shift_layer_builds_only_reported_edges():
     edges = all_edges(shape, params)
     assert all(any(e is f for f in edges) for e in built)
     assert all(table.edge(k) is edges[k] for k in range(len(edges)))
+
+
+def test_edge_cells_are_the_mask_bits_and_searches_build_no_edges():
+    _edge_table.cache_clear()
+    shape = GridShape((3, 4))
+    table = _edge_table(shape, P22)
+    min_percolating_size(shape, P22)
+    min_one_phase_size(shape, P22)
+    assert table._edges is None and not table._built
+    cells = table.cells()
+    assert cells is table.cells()
+    assert cells == [tuple(iter_bits(m)) for m in table.masks]

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 import runpy
 from pathlib import Path
 
@@ -209,6 +210,47 @@ def test_instance_rejects_non_integer_numbers(doc, capsys, monkeypatch):
     rc = main(["check"])
     out = capsys.readouterr()
     assert rc == 2 and out.out == "" and "error:" in out.err
+
+
+INSTANCE = {"shape": [3, 3], "t": 2, "r": 2, "cells": [[1, 1], [2, 2]]}
+PHASES = {"shape": [2, 2], "t": 2, "r": 2, "phases": [[[1, 1], [1, 2], [2, 1]], [[1, 1], [1, 2], [2, 1], [2, 2]]]}
+STEPS = {"shape": [2, 2], "t": 2, "r": 2, "start": [[1, 1], [1, 2], [2, 1]],
+         "steps": [{"v": [2, 2], "edge": {"varying": {"1": [1, 2], "2": [1, 2]}}}]}
+
+
+@pytest.mark.parametrize(
+    "doc,command,message",
+    [
+        # A repeated cell is an error, not one cell.
+        ({**INSTANCE, "cells": [[1, 1], [1, 1], [2, 2]]}, "check", r"instance: duplicate cell \[1, 1\]"),
+        ({**PHASES, "phases": [[[1, 1], [1, 2], [2, 1], [1, 2]]]}, "render", r"trace: phase: duplicate cell \[1, 2\]"),
+        ({**STEPS, "start": [[1, 1], [1, 2], [1, 1], [2, 1]]}, "render", r"trace: start: duplicate cell \[1, 1\]"),
+        # A field the format does not define is an error, not ignored.
+        ({**INSTANCE, "name": "x"}, "check", r"instance: unknown field 'name'"),
+        ({**INSTANCE, "start": []}, "check", r"instance: unknown field 'start'"),
+        ({**PHASES, "cells": []}, "render", r"trace: unknown field 'cells'"),
+        ({**PHASES, "start": []}, "render", r"trace: unknown field 'start'"),
+        ({**STEPS, "note": 1}, "render", r"trace: unknown field 'note'"),
+        ({**PHASES, "steps": STEPS["steps"]}, "render", r"'phases' or 'steps', not both"),
+    ],
+)
+def test_documents_reject_duplicate_cells_and_unknown_fields(doc, command, message, capsys, monkeypatch):
+    parse = jsonio.parse_instance if command == "check" else jsonio.parse_trace
+    with pytest.raises(InstanceError, match=message):
+        parse(doc)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    rc = main([command])
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == "" and re.search(message, out.err)
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def test_documents_without_extra_fields_still_parse():
+    for doc in (PHASES, STEPS):
+        jsonio.parse_trace(doc)
+    jsonio.parse_instance(INSTANCE)
+    # A step trace may leave out its start (an empty set).
+    jsonio.parse_trace({"shape": [1, 1], "t": 2, "r": 2, "steps": []})
 
 
 def _step_trace_doc(**overrides):

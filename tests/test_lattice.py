@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,18 +112,6 @@ def test_cellset_set_operations():
     assert CellSet.full(shape).is_full()
     with pytest.raises(ValueError):
         a | CellSet.empty(GridShape((3, 3)))
-
-
-def test_cellset_array_round_trip():
-    shape = GridShape((2, 2, 3))
-    rng = random.Random(5)
-    for _ in range(20):
-        bits = rng.getrandbits(cell_count(shape))
-        a = CellSet(shape, bits)
-        arr = a.to_array()
-        assert arr.shape == shape.dims
-        assert CellSet.from_array(arr) == a
-        assert int(arr.sum()) == len(a)
 
 
 def test_edge_vertices_examples():

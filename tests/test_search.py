@@ -220,6 +220,33 @@ def test_search_matches_scalar_reference_with_the_prune_and_several_blocks():
         assert got.examined[9] > search.BLOCK
 
 
+def test_cached_columns_and_edge_cells_give_the_cold_report():
+    # Whole-layer columns are kept across searches, keyed by (cells, layer),
+    # and each grid's edge cell lists stay on its cached edge table. (4, 4)
+    # and (2, 2, 4) have the same cell count, so each runs on columns the
+    # other left behind; BLOCK decides which layers split. No report may
+    # differ from a search run with every cache empty.
+    grids = [(GridShape(dims), P22, target)
+             for dims in ((4, 4), (2, 2, 4)) for target in ("percolate", "one-phase")]
+    budgets = (25, search.DEFAULT_BUDGET)
+
+    def cold(shape, params, target, budget):
+        search._whole_layer.cache_clear()
+        _edge_table.cache_clear()
+        return _fields(_search(shape, params, target, budget))
+
+    expected = {(inst, b): cold(*inst, b) for inst in grids for b in budgets}
+    assert expected[grids[0], budgets[1]]["minimum"] == 7
+    assert not expected[grids[0], budgets[0]]["exact"]
+    for block in (search.BLOCK, 4000, 700, search.BLOCK):
+        with mock.patch.object(search, "BLOCK", block):
+            for inst in grids:
+                for b in budgets:
+                    assert _fields(_search(*inst, b)) == expected[inst, b], (block, inst, b)
+    with mock.patch.object(search, "BLOCK", 700):
+        assert cold(*grids[3], budgets[1]) == expected[grids[3], budgets[1]]
+
+
 def test_min_one_phase_values():
     assert min_one_phase_size(GridShape((3, 3)), Params(3, 2)).minimum == 8
     assert min_one_phase_size(GridShape((3, 4)), Params(3, 2)).minimum == 10
