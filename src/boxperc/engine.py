@@ -9,8 +9,11 @@ percolates when its closure covers the whole grid.
 Each (shape, params) pair has one cached edge table: every hyperedge's
 per-axis index sets and its occupancy bitmask, generated directly in the
 documented edge order (varying axes ascending, then the varying value
-tuples, then the fixed coordinates). Masks are folded from row-major
-strides, without visiting vertices one by one. The phase scans, closures
+tuples, then the fixed coordinates). Masks are per-axis products of
+row-major stride factors, shifted by the fixed coordinates, without
+visiting vertices one by one. The same layout gives each edge's index
+arithmetically, so the per-cell incidence lists (`EdgeTable.through`) are
+computed from it rather than read off the masks. The phase scans, closures
 and predicates read only the masks, and so do the shift moves of
 `transforms` and `search`. `EdgeTable.edge(k)` is the one way from an edge
 index to its `Edge`: it builds the object on first request and hands the
@@ -19,7 +22,8 @@ same object to every later caller, including the tuple that the first
 records) go through it, so an edge is built only when it is reported or
 `all_edges` asks for the whole tuple. Step traces propagate missing
 counts: each edge keeps the number of its cells still uninfected, so one
-step touches only the edges through the cell it infects. This is a
+step touches only the edges through the cell it infects, and a cell's
+witness is recorded when an edge's count drops to one. This is a
 desk-scale engine: grids whose edge count would exceed EDGE_TABLE_CAP are
 rejected up front.
 """
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -94,12 +98,23 @@ class EdgeTable:
     `sets[k]` holds the per-axis index sets of edge k and `masks[k]` its
     occupancy bitmask. The `Edge` objects, the per-edge cell lists and the
     per-cell incidence lists are built on first use and kept.
+
+    The table is laid out in one block per choice of varying axes. Within a
+    block, edge k sits at `base + (sum of pos[j] * weights[j]) + fixed`,
+    where pos[j] is the rank of its t-set on the j-th varying axis among
+    that axis's t-sets (lex order), and fixed is the mixed-radix rank of its
+    coordinates on the other axes. `blocks` keeps, per block, (base, varying
+    axes, weights, offsets): offsets[fixed] is the linear index that the
+    fixed coordinates add to a cell.
     """
 
-    def __init__(self, shape: GridShape, sets: tuple, masks: tuple[int, ...]) -> None:
+    def __init__(self, shape: GridShape, sets: tuple, masks: tuple[int, ...],
+                 t: int, blocks: tuple) -> None:
         self.shape = shape
         self.sets = sets
         self.masks = masks
+        self.t = t
+        self.blocks = blocks
         self._edges: Optional[tuple[Edge, ...]] = None
         self._built: dict[int, Edge] = {}
         self._cells: Optional[list[tuple[int, ...]]] = None
@@ -128,14 +143,49 @@ class EdgeTable:
         return self._cells
 
     def through(self) -> list[list[int]]:
-        """For each cell (by linear index), the edges containing it, ascending."""
+        """For each cell (by linear index), the edges containing it, ascending.
+
+        Read off the block layout, not the masks: in a block, the edges
+        through a cell are the block base plus the cell's fixed rank plus
+        one weighted t-set rank per varying axis, taken over the t-sets that
+        hold the cell's coordinate there. Ranks grow with the t-sets in lex
+        order and the weights are mixed-radix, so each block's run comes out
+        ascending, and blocks follow each other in edge order.
+        """
         if self._through is None:
+            dims = self.shape.dims
+            strides = _strides(dims)
             through: list[list[int]] = [[] for _ in range(cell_count(self.shape))]
-            for k, m in enumerate(self.masks):
-                for c in iter_bits(m):
-                    through[c].append(k)
+            # One int object per edge index, shared by every list it is on.
+            ids = list(range(len(self.masks)))
+            for base, axes, weights, offsets in self.blocks:
+                # hold[j][x]: weighted ranks of the t-sets on axis axes[j]
+                # that hold coordinate x + 1.
+                hold = []
+                for i, w in zip(axes, weights):
+                    per = [[] for _ in range(dims[i])]
+                    for p, s in enumerate(combinations(range(dims[i]), self.t)):
+                        for x in s:
+                            per[x].append(p * w)
+                    hold.append(per)
+                var = [
+                    (sum(x * strides[i] for x, i in zip(xs, axes)),
+                     [per[x] for per, x in zip(hold, xs)])
+                    for xs in product(*(range(dims[i]) for i in axes))
+                ]
+                for rank, shift in enumerate(offsets):
+                    for cell, held in var:
+                        offs = [base + rank]
+                        for ranks in held[:-1]:
+                            offs = [o + q for o in offs for q in ranks]
+                        through[shift + cell] += [ids[o + q] for o in offs for q in held[-1]]
             self._through = through
         return self._through
+
+
+def _strides(dims: tuple[int, ...]) -> list[int]:
+    """Row-major strides: cell (x1, ..., xd) has linear index sum((x_i - 1) * stride_i)."""
+    return [math.prod(dims[i + 1:]) for i in range(len(dims))]
 
 
 @lru_cache(maxsize=256)
@@ -147,34 +197,40 @@ def _edge_table(shape: GridShape, params: Params) -> EdgeTable:
             f"{EDGE_TABLE_CAP} hyperedges; beyond the desk-scale engine"
         )
     dims = shape.dims
-    strides = [math.prod(dims[i + 1:]) for i in range(shape.d)]
-    sets, masks = [], []
+    strides = _strides(dims)
+    sets: list = []
+    masks: list[int] = []
+    blocks = []
     for axes in combinations(range(shape.d), params.r):
         others = [i for i in range(shape.d) if i not in axes]
+        tsets = [list(combinations(range(1, dims[i] + 1), params.t)) for i in axes]
+        n_fixed = math.prod(dims[i] for i in others)
+        # Rank weights of the varying axes, last axis fastest, above the
+        # fixed rank.
+        weights = [n_fixed * math.prod(map(len, tsets[j + 1:])) for j in range(len(axes))]
         # An index set S on a varying axis i contributes the factor
         # sum(2**((c-1)*stride_i) for c in S). Cells of a box have distinct
         # row-major offsets, so the product of the factors has exactly the
         # box's bits set; each fixed coordinate then shifts it.
-        varying = [
-            [(s, sum(1 << (c - 1) * strides[i] for c in s))
-             for s in combinations(range(1, dims[i] + 1), params.t)]
-            for i in axes
-        ]
-        fixed = [
-            (tuple((c,) for c in cs), sum((c - 1) * strides[i] for c, i in zip(cs, others)))
+        boxes = [1]
+        for i, ts in zip(axes, tsets):
+            factors = [sum(1 << (c - 1) * strides[i] for c in s) for s in ts]
+            boxes = [b * f for b in boxes for f in factors]
+        offsets = [
+            sum((c - 1) * strides[i] for c, i in zip(cs, others))
             for cs in product(*(range(1, dims[i] + 1) for i in others))
         ]
-        # With fixed axes, put the varying sets, then the fixed ones, back
-        # into axis order.
-        order = [*axes, *others]
-        pick = itemgetter(*(order.index(i) for i in range(shape.d)))
-        for var in product(*varying):
-            var_sets = tuple(s for s, _ in var)
-            box = math.prod(f for _, f in var)
-            for fix_sets, offset in fixed:
-                sets.append(pick(var_sets + fix_sets) if others else var_sets)
-                masks.append(box << offset)
-    return EdgeTable(shape, tuple(sets), tuple(masks))
+        blocks.append((len(masks), axes, weights, offsets))
+        masks.extend([b << o for b in boxes for o in offsets])
+        # Varying sets first, then the fixed ones, put back into axis order.
+        if others:
+            singles = [[(c,) for c in range(1, dims[i] + 1)] for i in others]
+            order = [*axes, *others]
+            pick = itemgetter(*(order.index(i) for i in range(shape.d)))
+            sets.extend(map(pick, product(*tsets, *singles)))
+        else:
+            sets.extend(product(*tsets))
+    return EdgeTable(shape, tuple(sets), tuple(masks), params.t, tuple(blocks))
 
 
 def all_edges(shape: GridShape, params: Params) -> tuple[Edge, ...]:
@@ -271,31 +327,38 @@ def step_by_step(a: CellSet, params: Params, seed: Optional[int] = None) -> Step
     Each edge keeps its count of uninfected cells, and each cell has the
     list of edges through it, in edge order. An edge with one uninfected
     cell makes that cell infectable, and infecting a cell updates only the
-    edges on its list.
+    edges on its list. An edge whose count drops to 1 can miss only that
+    cell until it is infected, so a cell's witness, the least such edge,
+    is kept as the counts drop.
     """
     table = _edge_table(a.shape, params)
     masks, through = table.masks, table.through()
     rng = random.Random(seed) if seed is not None else None
     inv = ~a.bits
     missing = [(m & inv).bit_count() for m in masks]
-    # Infectable cells, ascending; a cell stays infectable until infected.
-    candidates = sorted({
-        (m & inv).bit_length() - 1 for m, n in zip(masks, missing) if n == 1
-    })
+    # Infectable cell -> its least witness edge; the keys, ascending, are
+    # the candidates. A cell stays infectable until infected.
+    witness: dict[int, int] = {}
+    for k, n in enumerate(missing):
+        if n == 1:
+            witness.setdefault((masks[k] & inv).bit_length() - 1, k)
+    candidates = sorted(witness)
     steps: list[tuple[Vertex, Edge]] = []
     while candidates:
         idx = candidates[0] if rng is None else rng.choice(candidates)
         del candidates[bisect_left(candidates, idx)]
-        witness = next(k for k in through[idx] if missing[k] == 1)
-        steps.append((unchecked_vertex(a.shape, idx), table.edge(witness)))
+        steps.append((unchecked_vertex(a.shape, idx), table.edge(witness.pop(idx))))
         inv ^= 1 << idx
         for k in through[idx]:
             missing[k] -= 1
             if missing[k] == 1:
                 c = (masks[k] & inv).bit_length() - 1
-                pos = bisect_left(candidates, c)
-                if pos == len(candidates) or candidates[pos] != c:
-                    candidates.insert(pos, c)
+                w = witness.get(c)
+                if w is None:
+                    witness[c] = k
+                    insort(candidates, c)
+                elif k < w:
+                    witness[c] = k
     return StepTrace(a, tuple(steps))
 
 

@@ -13,6 +13,7 @@ instance header fields (shape, t, r) so they can be rendered standalone.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .engine import PhaseTrace, StepTrace, phase_step
@@ -70,7 +71,7 @@ def _cells(value, what: str) -> list[tuple[int, ...]]:
 
 
 def _only(doc: dict, fields: tuple[str, ...], where: str) -> None:
-    """Reject top-level fields the format does not define."""
+    """Reject fields the format does not define."""
     unknown = [key for key in doc if key not in fields]
     if unknown:
         raise InstanceError(f"{where}: unknown field {unknown[0]!r}; expected {', '.join(fields)}")
@@ -126,10 +127,16 @@ def _axis(key: str, d: int) -> int:
 def edge_from_json(obj: dict, d: int) -> Edge:
     if not isinstance(obj, dict):
         raise InstanceError("edge must be a JSON object")
+    _only(obj, ("axes", "varying", "fixed"), "edge")
     varying = {
         _axis(k, d): _coords(v, f"edge: varying axis {k}")
         for k, v in _require(obj, "varying", dict, "edge").items()
     }
+    # `axes` is redundant; when present it must agree with `varying`.
+    if "axes" in obj and _coords(obj["axes"], "edge: axes") != tuple(sorted(varying)):
+        raise InstanceError(
+            f"edge: axes {obj['axes']} are not the varying axes {sorted(varying)}"
+        )
     fixed_doc = obj.get("fixed", {})
     if not isinstance(fixed_doc, dict):
         raise InstanceError("edge: field 'fixed' must be dict")
@@ -301,6 +308,7 @@ def parse_trace(doc: str | dict) -> tuple[Params, list[CellSet], str, list[Edge]
             for i, step in enumerate(_require(doc, "steps", list, "trace"), start=1):
                 if not isinstance(step, dict):
                     raise InstanceError("trace: each step must be a JSON object")
+                _only(step, ("v", "edge"), "trace step")
                 v = _coords(_require(step, "v", list, "trace step"), "trace: step v")
                 edge = edge_from_json(_require(step, "edge", dict, "trace step"), shape.d)
                 validate_edge(edge, shape, params)
@@ -324,5 +332,46 @@ def parse_trace(doc: str | dict) -> tuple[Params, list[CellSet], str, list[Edge]
 
 
 def dumps(obj: Any) -> str:
-    """Stable JSON encoding used by the command line."""
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    """Stable JSON encoding used by the command line: exactly
+    `json.dumps(obj, indent=2) + "\n"`, written directly.
+
+    Dicts with string keys, lists and tuples, strings, ints, booleans and
+    None are laid out here, one join per container; a list of plain ints
+    (not booleans, which are ints too) is joined from one `map`. Any other
+    value, a float or a dict with a non-string key among them, goes to
+    `json.dumps` and is indented to its depth.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_all_int = frozenset({int}).issuperset
+_all_str = frozenset({str}).issuperset
+
+
+def _encode(obj: Any, newline: str) -> str:
+    """`obj` in the indent=2 layout; `newline` is a line break followed by
+    the indentation of the line that holds `obj`."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None or kind is bool:
+        return _CONSTANTS[obj]
+    inner = newline + "  "
+    sep = "," + inner
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        if _all_int(map(type, obj)):
+            return f"[{inner}{sep.join(map(int.__repr__, obj))}{newline}]"
+        return f"[{inner}{sep.join([_encode(x, inner) for x in obj])}{newline}]"
+    if kind is dict and _all_str(map(type, obj)):
+        if not obj:
+            return "{}"
+        body = sep.join([
+            f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in obj.items()
+        ])
+        return f"{{{inner}{body}{newline}}}"
+    return json.dumps(obj, indent=2).replace("\n", newline)

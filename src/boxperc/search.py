@@ -236,7 +236,14 @@ def _min_size(
             # candidate after them, or not in this block.
             room = budget - report.checks
             stop = _nth_bit(alive, room) if alive.bit_count() > room else size
-            found = hits(cols, ones) & alive & ((1 << stop) - 1)
+            # Only the candidates before the stop need the predicate.
+            if stop == size:
+                found = hits(cols, ones) & alive
+            elif stop:
+                lim = (1 << stop) - 1
+                found = hits([c & lim for c in cols], lim) & alive
+            else:
+                found = 0
             if found:
                 j = (found & -found).bit_length() - 1
                 report.examined[k] += j + 1

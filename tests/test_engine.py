@@ -301,37 +301,50 @@ def naive_step_by_step(a, params, seed):
 
 
 @st.composite
-def instances(draw, max_d=3, max_n=4):
-    dims = tuple(draw(st.lists(st.integers(1, max_n), min_size=1, max_size=max_d)))
+def instances(draw, max_d=3, max_n=4, min_d=1):
+    dims = tuple(draw(st.lists(st.integers(1, max_n), min_size=min_d, max_size=max_d)))
     shape = GridShape(dims)
     params = Params(draw(st.sampled_from((2, 3))), draw(st.integers(1, len(dims))))
     return shape, params
-
-
-@settings(max_examples=80, deadline=None)
-@given(instances(max_n=5))
-def test_edge_table_matches_sorted_reference(inst):
-    shape, params = inst
-    edges, masks = naive_edge_table(shape, params)
-    assert all_edges(shape, params) == tuple(edges)
-    assert _edge_table(shape, params).masks == tuple(masks)
-    assert _edge_table(shape, params).cells() == naive_edge_cells(shape, edges)
 
 
 def naive_edge_cells(shape, edges):
     return [tuple(sorted(linear_index(shape, v) for v in product(*e.sets))) for e in edges]
 
 
-@pytest.mark.parametrize("dims,t", [((2, 3, 2, 3), 2), ((3, 2, 4, 3), 3)])
+def mask_walk_through(shape, masks):
+    """Per-cell incidence lists read off the mask bits, edge by edge."""
+    through = [[] for _ in range(cell_count(shape))]
+    for k, m in enumerate(masks):
+        for c in iter_bits(m):
+            through[c].append(k)
+    return through
+
+
+def assert_table_matches_reference(shape, params):
+    edges, masks = naive_edge_table(shape, params)
+    table = _edge_table(shape, params)
+    assert table.sets == tuple(e.sets for e in edges)
+    assert table.masks == tuple(masks)
+    assert table.cells() == naive_edge_cells(shape, edges)
+    assert table.through() == mask_walk_through(shape, masks)
+    assert all_edges(shape, params) == tuple(edges)
+    assert tuple(sorted(all_edges(shape, params), key=Edge.sort_key)) == tuple(edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances(max_n=5))
+def test_edge_table_matches_sorted_reference(inst):
+    shape, params = inst
+    for r in range(1, shape.d + 1):
+        assert_table_matches_reference(shape, Params(params.t, r))
+
+
+@pytest.mark.parametrize("dims,t", [((2, 3, 2, 3), 2), ((3, 2, 4, 3), 3), ((1, 3, 1, 4), 2)])
 def test_four_dimensional_edge_table_matches_reference(dims, t):
     shape = GridShape(dims)
     for r in range(1, 5):
-        params = Params(t, r)
-        edges, masks = naive_edge_table(shape, params)
-        assert all_edges(shape, params) == tuple(edges)
-        assert tuple(sorted(edges, key=Edge.sort_key)) == tuple(edges)
-        assert _edge_table(shape, params).masks == tuple(masks)
-        assert _edge_table(shape, params).cells() == naive_edge_cells(shape, edges)
+        assert_table_matches_reference(shape, Params(t, r))
 
 
 @settings(max_examples=120, deadline=None)
@@ -344,9 +357,19 @@ def test_step_trace_matches_rescan_reference(inst, data):
     assert list(step_by_step(a, params, seed=seed).steps) == naive_step_by_step(a, params, seed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(instances(max_d=4, max_n=3, min_d=4), st.data())
+def test_step_trace_matches_rescan_reference_in_four_dimensions(inst, data):
+    shape, params = inst
+    a = CellSet(shape, data.draw(st.integers(0, (1 << cell_count(shape)) - 1)))
+    seed = data.draw(st.one_of(st.none(), st.integers(0, 2**32)))
+    assert list(step_by_step(a, params, seed=seed).steps) == naive_step_by_step(a, params, seed)
+
+
 def test_step_trace_matches_reference_on_l_sets():
     # Sparse starts give long traces, where the incremental counts matter.
-    for dims, t, r in (((6, 6), 2, 2), ((5, 5), 3, 2), ((3, 4, 3), 2, 2), ((3, 3, 3), 2, 3)):
+    for dims, t, r in (((6, 6), 2, 2), ((5, 5), 3, 2), ((3, 4, 3), 2, 2), ((3, 3, 3), 2, 3),
+                       ((2, 3, 2, 3), 2, 2), ((3, 2, 3, 2), 2, 3), ((3, 3, 3, 3), 3, 2)):
         shape, params = GridShape(dims), Params(t, r)
         a = l_set(shape, params)
         for seed in (None, 0, 5):

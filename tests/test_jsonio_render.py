@@ -53,6 +53,42 @@ def test_edge_json_round_trip():
     assert jsonio.edge_from_json(doc, 3) == e
     with pytest.raises(InstanceError):
         jsonio.edge_from_json({"varying": {"1": [1, 2]}, "fixed": {}}, 2)
+    with pytest.raises(InstanceError, match="unknown field 'note'"):
+        jsonio.edge_from_json({**doc, "note": ""}, 3)
+    with pytest.raises(InstanceError, match="not the varying axes"):
+        jsonio.edge_from_json({**doc, "axes": [1, 2]}, 3)
+    with pytest.raises(InstanceError, match="axes must be a list of integers"):
+        jsonio.edge_from_json({**doc, "axes": 13}, 3)
+
+
+# JSON-like values: str, int, bool, None and float leaves (NaN and the
+# infinities among them) in nested lists, tuples and dicts, empty ones too.
+# Lists of bools get their own branch: they must not take the plain-int path.
+json_values = st.recursive(
+    st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats()),
+    lambda kids: st.one_of(
+        st.lists(kids),
+        st.lists(kids).map(tuple),
+        st.dictionaries(st.text(), kids),
+        st.dictionaries(st.one_of(st.integers(), st.booleans(), st.none()), kids, max_size=3),
+        st.lists(st.booleans()),
+        st.lists(st.integers()),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values)
+def test_dumps_matches_stdlib_indent_layout(obj):
+    assert jsonio.dumps(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_dumps_pinned_layouts():
+    cases = [[], {}, [True, 1, False], [[]], {"a": {}}, ([1, 2], (3,)), {"k": [None, 1.5, "é"]}]
+    for obj in cases:
+        assert jsonio.dumps(obj) == json.dumps(obj, indent=2) + "\n"
+    assert jsonio.dumps([True, 1]) == "[\n  true,\n  1\n]\n"
 
 
 def test_phase_trace_json():
@@ -216,6 +252,7 @@ INSTANCE = {"shape": [3, 3], "t": 2, "r": 2, "cells": [[1, 1], [2, 2]]}
 PHASES = {"shape": [2, 2], "t": 2, "r": 2, "phases": [[[1, 1], [1, 2], [2, 1]], [[1, 1], [1, 2], [2, 1], [2, 2]]]}
 STEPS = {"shape": [2, 2], "t": 2, "r": 2, "start": [[1, 1], [1, 2], [2, 1]],
          "steps": [{"v": [2, 2], "edge": {"varying": {"1": [1, 2], "2": [1, 2]}}}]}
+SQUARE = {"axes": [1, 2], "varying": {"1": [1, 2], "2": [1, 2]}, "fixed": {}}
 
 
 @pytest.mark.parametrize(
@@ -232,6 +269,18 @@ STEPS = {"shape": [2, 2], "t": 2, "r": 2, "start": [[1, 1], [1, 2], [2, 1]],
         ({**PHASES, "start": []}, "render", r"trace: unknown field 'start'"),
         ({**STEPS, "note": 1}, "render", r"trace: unknown field 'note'"),
         ({**PHASES, "steps": STEPS["steps"]}, "render", r"'phases' or 'steps', not both"),
+        # Inside a step and its edge too; an edge's axes must be its varying axes.
+        ({**STEPS, "steps": [{**STEPS["steps"][0], "note": 1}]}, "render",
+         r"trace step: unknown field 'note'"),
+        ({**STEPS, "steps": [{"v": [2, 2], "edge": {**SQUARE, "bogus": 1}}]}, "render",
+         r"edge: unknown field 'bogus'"),
+        ({**STEPS, "steps": [{"v": [2, 2], "edge": {**SQUARE, "axes": [7]}}]}, "render",
+         r"edge: axes \[7\] are not the varying axes \[1, 2\]"),
+        ({**STEPS, "steps": [{"v": [2, 2], "edge": {**SQUARE, "axes": [2, 1]}}]}, "render",
+         r"edge: axes \[2, 1\] are not the varying axes \[1, 2\]"),
+        ({**STEPS, "steps": [{"v": [2, 2], "note": "x",
+                              "edge": {**SQUARE, "axes": [7], "bogus": 1}}]}, "render",
+         r"trace step: unknown field 'note'"),
     ],
 )
 def test_documents_reject_duplicate_cells_and_unknown_fields(doc, command, message, capsys, monkeypatch):
@@ -246,7 +295,7 @@ def test_documents_reject_duplicate_cells_and_unknown_fields(doc, command, messa
 
 
 def test_documents_without_extra_fields_still_parse():
-    for doc in (PHASES, STEPS):
+    for doc in (PHASES, STEPS, {**STEPS, "steps": [{"v": [2, 2], "edge": SQUARE}]}):
         jsonio.parse_trace(doc)
     jsonio.parse_instance(INSTANCE)
     # A step trace may leave out its start (an empty set).
@@ -297,9 +346,6 @@ def test_trace_rejects_malformed_steps(change):
     change(doc)
     with pytest.raises(InstanceError):
         jsonio.parse_trace(doc)
-
-
-SQUARE = {"axes": [1, 2], "varying": {"1": [1, 2], "2": [1, 2]}, "fixed": {}}
 
 
 @pytest.mark.parametrize(

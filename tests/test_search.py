@@ -97,6 +97,31 @@ def test_budget_exhaustion_flags_report():
     assert report.checks == 40
 
 
+def test_budget_stop_limits_the_predicate_to_earlier_candidates():
+    # Record the candidate mask each predicate call gets; nothing is a hit.
+    calls = []
+
+    def hits(cols, ones):
+        assert all(col & ~ones == 0 for col in cols)
+        calls.append(ones)
+        return 0
+
+    shape = GridShape((3, 3))
+    for budget, expected, examined in (
+        (1, [0b1], {0: 1, 1: 1}),
+        (5, [0b1, 0b1111], {0: 1, 1: 5}),
+        (10, [0b1, 0b111111111], {0: 1, 1: 9, 2: 1}),
+    ):
+        calls.clear()
+        report = search._min_size(shape, P22, "percolate", hits, "exact", budget, None)
+        # Layer 0 takes one check. The budget runs out in layer 1 (layer 2
+        # at budget 10); the predicate sees only the candidates before the
+        # stop, and is not called at stop 0.
+        assert calls == expected
+        assert report.checks == budget and not report.exact
+        assert report.examined == examined
+
+
 def test_search_rejects_unknown_mode_and_negative_budget():
     for run in (min_percolating_size, min_one_phase_size):
         with pytest.raises(ValueError, match="unknown search mode 'dedup'"):
