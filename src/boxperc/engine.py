@@ -13,12 +13,18 @@ tuples, then the fixed coordinates). Masks are per-axis products of
 row-major stride factors, shifted by the fixed coordinates, without
 visiting vertices one by one. The same layout gives each edge's index
 arithmetically, so the per-cell incidence lists (`EdgeTable.through`) are
-computed from it rather than read off the masks. The phase scans, closures
-and predicates read only the masks, and so do the shift moves of
-`transforms` and `search`. `EdgeTable.edge(k)` is the one way from an edge
-index to its `Edge`: it builds the object on first request and hands the
-same object to every later caller, including the tuple that the first
-`all_edges` call builds. Witnesses (`infecting_edge`, step traces, shift
+computed from it rather than read off the masks. So are the edge columns
+(`EdgeTable.columns`), the transpose of the masks: one int per cell, whose
+bit k is set when edge k holds the cell. Every search for infecting edges
+reads the columns of the missing cells only: the phase scans, closures and
+predicates here, and the shift moves of `transforms`, `search` and
+`verify`. ORing those columns into `once` and `twice` accumulators leaves
+the edges that miss exactly one cell in `once & ~twice`, at a cost of
+O(missing cells) big-int operations whatever the edge count; an edge's
+mask then gives its missing cell and its maximal corner.
+`EdgeTable.edge(k)` is the one way from an edge index to its `Edge`: it
+builds the object on first request and hands the same object to every
+later caller, including the tuple that the first `all_edges` call builds. Witnesses (`infecting_edge`, step traces, shift
 records) go through it, so an edge is built only when it is reported or
 `all_edges` asks for the whole tuple. Step traces propagate missing
 counts: each edge keeps the number of its cells still uninfected, so one
@@ -37,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from operator import itemgetter
-from typing import Optional
+from typing import Iterator, Optional
 
 from .lattice import (
     CellSet,
@@ -96,8 +102,9 @@ class EdgeTable:
     """Every hyperedge of one (shape, params) pair, in the documented order.
 
     `sets[k]` holds the per-axis index sets of edge k and `masks[k]` its
-    occupancy bitmask. The `Edge` objects, the per-edge cell lists and the
-    per-cell incidence lists are built on first use and kept.
+    occupancy bitmask. The `Edge` objects, the per-edge cell lists, the
+    per-cell incidence lists and the per-cell edge columns are built on
+    first use and kept.
 
     The table is laid out in one block per choice of varying axes. Within a
     block, edge k sits at `base + (sum of pos[j] * weights[j]) + fixed`,
@@ -119,6 +126,7 @@ class EdgeTable:
         self._built: dict[int, Edge] = {}
         self._cells: Optional[list[tuple[int, ...]]] = None
         self._through: Optional[list[list[int]]] = None
+        self._columns: Optional[list[int]] = None
 
     def edge(self, k: int) -> Edge:
         """Edge k, built once: every caller gets the same object, and the
@@ -182,6 +190,40 @@ class EdgeTable:
             self._through = through
         return self._through
 
+    def columns(self) -> list[int]:
+        """For each cell (by linear index), the int whose bit k is set when
+        edge k holds the cell: the transpose of `masks`.
+
+        Built from the block layout as the masks are, without visiting
+        edges one by one. In a block, the edges through a cell are the
+        block base plus the cell's fixed rank plus one weighted t-set rank
+        per varying axis, over the t-sets holding the cell's coordinate
+        there. So each varying axis gives, per coordinate, a factor with
+        bit `rank * weight` for each t-set holding it. The weights are
+        mixed-radix, so the product of one factor per varying axis has
+        exactly the bits of the block's edges through the cell, less the
+        base and the fixed rank, which then shift it into place.
+        """
+        if self._columns is None:
+            dims = self.shape.dims
+            strides = _strides(dims)
+            cols = [0] * cell_count(self.shape)
+            for base, axes, weights, offsets in self.blocks:
+                # (linear offset of the varying coordinates, their product)
+                boxes = [(0, 1)]
+                for i, w in zip(axes, weights):
+                    factors = [0] * dims[i]
+                    for p, s in enumerate(combinations(range(dims[i]), self.t)):
+                        for x in s:
+                            factors[x] |= 1 << p * w
+                    boxes = [(o + x * strides[i], b * f)
+                             for o, b in boxes for x, f in enumerate(factors)]
+                for rank, shift in enumerate(offsets):
+                    for o, b in boxes:
+                        cols[shift + o] |= b << base + rank
+            self._columns = cols
+        return self._columns
+
 
 def _strides(dims: tuple[int, ...]) -> list[int]:
     """Row-major strides: cell (x1, ..., xd) has linear index sum((x_i - 1) * stride_i)."""
@@ -238,83 +280,94 @@ def all_edges(shape: GridShape, params: Params) -> tuple[Edge, ...]:
     return _edge_table(shape, params).edges()
 
 
-def _scan_additions(bits: int, masks) -> int:
-    """Union of vertices with an infecting edge relative to `bits`."""
-    add = 0
-    for m in masks:
-        miss = m & ~bits
-        if miss and miss & (miss - 1) == 0:
-            add |= miss
-    return add
+def _single_missing(bits: int, cols: list[int]) -> int:
+    """The edges (bit k for edge k) with exactly one cell outside `bits`;
+    `cols` holds one column per cell.
+
+    `once` collects the edges holding at least one of the missing cells
+    seen so far, and `twice` those holding at least two. The edges through
+    a cell are its column's bits, so an edge in `once & ~twice` misses
+    exactly one cell, and that cell is the missing cell whose column holds
+    the edge.
+    """
+    once = twice = 0
+    miss = ~bits & (1 << len(cols)) - 1
+    while miss:
+        low = miss & -miss
+        col = cols[low.bit_length() - 1]
+        twice |= once & col
+        once |= col
+        miss ^= low
+    return once & ~twice
 
 
-def _closure_bits(bits: int, masks, full: int) -> int:
-    scan = masks
-    while True:
-        add = _scan_additions(bits, scan)
-        if not add:
-            return bits
-        bits |= add
-        if bits == full:
-            return bits
-        # Only edges that gained cells can change their missing count.
-        scan = [m for m in masks if m & add]
+def _phases(bits: int, cols: list[int]) -> Iterator[int]:
+    """The phases after `bits`, each a strict superset of the one before,
+    up to the closure. A phase adds every missing cell that is the only
+    missing cell of some edge."""
+    full = (1 << len(cols)) - 1
+    while single := _single_missing(bits, cols):
+        miss = ~bits & full
+        while miss:
+            low = miss & -miss
+            if cols[low.bit_length() - 1] & single:
+                bits |= low
+            miss ^= low
+        yield bits
+
+
+def _closure_bits(bits: int, cols: list[int]) -> int:
+    """The closure of `bits`: its last phase."""
+    for bits in _phases(bits, cols):
+        pass
+    return bits
 
 
 def infecting_edge(a: CellSet, v, params: Params) -> Optional[Edge]:
     """The least edge whose only vertex outside `a` is v, or None.
 
     Least means first in the documented edge order (varying axes ascending,
-    then the varying value tuples, then the fixed coordinates). Raises if v
-    is already a member.
+    then the varying value tuples, then the fixed coordinates). Only the
+    edges through v are tested, lowest index first. Raises if v is already
+    a member.
     """
     v = check_vertex(a.shape, v)
-    vbit = 1 << linear_index(a.shape, v)
+    idx = linear_index(a.shape, v)
+    vbit = 1 << idx
     if a.bits & vbit:
         raise ValueError(f"vertex {v} is already infected")
     table = _edge_table(a.shape, params)
-    inv = ~a.bits
-    for k, m in enumerate(table.masks):
-        if m & inv == vbit:
+    masks, inv = table.masks, ~a.bits
+    for k in iter_bits(table.columns()[idx]):
+        if masks[k] & inv == vbit:
             return table.edge(k)
     return None
 
 
 def phase_step(a: CellSet, params: Params) -> CellSet:
     """One synchronous round: add every vertex that has an infecting edge."""
-    masks = _edge_table(a.shape, params).masks
-    return CellSet(a.shape, a.bits | _scan_additions(a.bits, masks))
+    cols = _edge_table(a.shape, params).columns()
+    return CellSet(a.shape, next(_phases(a.bits, cols), a.bits))
 
 
 def full_form(a: CellSet, params: Params) -> tuple[CellSet, PhaseTrace]:
     """Iterate phases to the fixpoint; returns (closure, trace)."""
-    masks = _edge_table(a.shape, params).masks
-    bits = a.bits
-    phases = [a]
-    scan = masks
-    while True:
-        add = _scan_additions(bits, scan)
-        if not add:
-            break
-        bits |= add
-        phases.append(CellSet(a.shape, bits))
-        scan = [m for m in masks if m & add]
+    cols = _edge_table(a.shape, params).columns()
+    phases = [a, *(CellSet(a.shape, bits) for bits in _phases(a.bits, cols))]
     return phases[-1], PhaseTrace(tuple(phases))
 
 
 def percolates(a: CellSet, params: Params) -> bool:
     """True when the closure of `a` covers the whole grid."""
-    masks = _edge_table(a.shape, params).masks
-    full = (1 << cell_count(a.shape)) - 1
-    return _closure_bits(a.bits, masks, full) == full
+    cols = _edge_table(a.shape, params).columns()
+    return _closure_bits(a.bits, cols) == (1 << len(cols)) - 1
 
 
 def one_phase(a: CellSet, params: Params) -> bool:
     """True when a single phase already covers the grid: every vertex
     outside `a` has an infecting edge within `a` itself."""
-    masks = _edge_table(a.shape, params).masks
-    full = (1 << cell_count(a.shape)) - 1
-    return a.bits | _scan_additions(a.bits, masks) == full
+    cols = _edge_table(a.shape, params).columns()
+    return next(_phases(a.bits, cols), a.bits) == (1 << len(cols)) - 1
 
 
 def step_by_step(a: CellSet, params: Params, seed: Optional[int] = None) -> StepTrace:

@@ -111,11 +111,17 @@ def instance_to_json(a: CellSet, params: Params) -> dict:
 
 
 def edge_to_json(edge: Edge) -> dict:
-    return {
-        "axes": list(edge.axes),
-        "varying": {str(k): list(v) for k, v in edge.varying().items()},
-        "fixed": {str(k): v for k, v in edge.fixed().items()},
-    }
+    # One pass over the index sets fills all three fields.
+    axes: list[int] = []
+    varying: dict[str, list[int]] = {}
+    fixed: dict[str, int] = {}
+    for i, s in enumerate(edge.sets, 1):
+        if len(s) > 1:
+            axes.append(i)
+            varying[str(i)] = list(s)
+        else:
+            fixed[str(i)] = s[0]
+    return {"axes": axes, "varying": varying, "fixed": fixed}
 
 
 def _axis(key: str, d: int) -> int:

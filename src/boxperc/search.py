@@ -42,7 +42,7 @@ from operator import and_
 from typing import Callable, Iterator, Optional
 
 from .constructions import l_set
-from .engine import _closure_bits, _edge_table, _scan_additions
+from .engine import _closure_bits, _edge_table, _phases, _single_missing
 from .lattice import (
     CellSet,
     GridShape,
@@ -95,20 +95,26 @@ def _colex_columns(m: int, k: int) -> tuple[int, ...]:
     """Columns of colex(m, k): bit j of entry c is set when the j-th
     k-subset of range(m) holds c.
 
-    Pascal's rule, one row of the triangle at a time: row j holds colex(j, i)
-    for the i that lead to (m, k), k - (m - j) <= i <= k. Only two rows are
-    held at once, and nothing recurses, so m may run to thousands of cells.
+    Layers 0 and 1 have closed forms: colex(m, 0) is the empty set alone,
+    and the c-th 1-subset of range(m) is {c}. Above them, Pascal's rule, one
+    row of the triangle at a time: row j holds colex(j, i) for the i that
+    lead to (m, k), max(2, k - (m - j)) <= i <= k, and reads colex(j - 1, 1)
+    from its closed form. Only two rows are held at once, and nothing
+    recurses, so m may run to thousands of cells.
     """
-    row = {0: ()}
-    for j in range(1, m + 1):
+    if k <= 1:
+        return tuple(k << c for c in range(m))
+    row: dict = {}
+    for j in range(2, m + 1):
         nxt = {}
-        for i in range(max(0, k - m + j), min(k, j) + 1):
-            if i == 0 or i == j:
-                nxt[i] = (int(i > 0),) * j
+        for i in range(max(2, k - m + j), min(k, j) + 1):
+            if i == j:
+                nxt[i] = (1,) * j
             else:
                 # The subsets without cell j - 1 come first.
                 low = comb(j - 1, i)
-                nxt[i] = (*(a | b << low for a, b in zip(row[i], row[i - 1])),
+                below = row[i - 1] if i > 2 else [1 << c for c in range(j - 1)]
+                nxt[i] = (*(a | b << low for a, b in zip(row[i], below)),
                           ((1 << comb(j - 1, i - 1)) - 1) << low)
         row = nxt
     return row[k]
@@ -327,20 +333,20 @@ def random_percolating_set(shape: GridShape, params: Params, seed: int) -> CellS
     order, dropping each cell whose removal keeps the set percolating.
     Deterministic for a given seed."""
     check_compatible(shape, params)
-    masks = _edge_table(shape, params).masks
+    cols = _edge_table(shape, params).columns()
     full = (1 << cell_count(shape)) - 1
     return _reverse_deletion(
-        shape, params, seed, lambda bits: _closure_bits(bits, masks, full) == full
+        shape, params, seed, lambda bits: _closure_bits(bits, cols) == full
     )
 
 
 def random_one_phase_set(shape: GridShape, params: Params, seed: int) -> CellSet:
     """Deletion-minimal set that still covers the grid in a single phase."""
     check_compatible(shape, params)
-    masks = _edge_table(shape, params).masks
+    cols = _edge_table(shape, params).columns()
     full = (1 << cell_count(shape)) - 1
     return _reverse_deletion(
-        shape, params, seed, lambda bits: bits | _scan_additions(bits, masks) == full
+        shape, params, seed, lambda bits: next(_phases(bits, cols), bits) == full
     )
 
 
@@ -376,15 +382,15 @@ def shift_reach(
     sequence length and `max_states` the number of distinct states kept.
     """
     table = _edge_table(a.shape, params)
-    masks = table.masks
+    masks, cols = table.masks, table.columns()
     full = (1 << cell_count(a.shape)) - 1
-    if _closure_bits(a.bits, masks, full) != full:
+    if _closure_bits(a.bits, cols) != full:
         raise ValueError("shift_reach expects a percolating start set")
     if goal == "contains-l":
         lbits = l_set(a.shape, params).bits
         goal_fn = lambda bits: bits & lbits == lbits
     elif goal == "one-phase":
-        goal_fn = lambda bits: bits | _scan_additions(bits, masks) == full
+        goal_fn = lambda bits: next(_phases(bits, cols), bits) == full
     else:
         raise ValueError(f"unknown goal {goal!r}")
 
@@ -404,10 +410,10 @@ def shift_reach(
         nxt = []
         for state in frontier:
             inv = ~state
-            for k, m in enumerate(masks):
+            # Edges in ascending order, each missing exactly one cell.
+            for k in iter_bits(_single_missing(state, cols)):
+                m = masks[k]
                 miss = m & inv
-                if not miss or miss & (miss - 1):
-                    continue
                 # Evict members in ascending order; the maximal corner is
                 # the edge's highest bit.
                 rest = (1 << (m.bit_length() - 1) if maximal_only else m) & ~miss

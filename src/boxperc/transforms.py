@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import _edge_table, infecting_edge, one_phase
+from .engine import EdgeTable, _edge_table, _single_missing, infecting_edge, one_phase
 from .lattice import (
     CellSet,
     Edge,
@@ -24,6 +24,7 @@ from .lattice import (
     Vertex,
     check_vertex,
     edge_mask,
+    iter_bits,
     linear_index,
     p_slice,
     permute_slices,
@@ -216,19 +217,21 @@ def is_standard_position(e: Edge, a: CellSet) -> bool:
     return miss.bit_length() == mask.bit_length()
 
 
-def _nonstandard_candidates(bits: int, masks) -> list[tuple[int, int]]:
+def _nonstandard_candidates(bits: int, table: EdgeTable) -> list[tuple[int, int]]:
     """(missing cell, edge) index pairs for every infecting edge whose
     missing cell is not its maximal corner, sorted by cell then edge.
 
     An edge's maximal corner is its highest bit, and table order is edge
     sort order.
     """
+    cols, masks = table.columns(), table.masks
     inv = ~bits
     out = []
-    for k, m in enumerate(masks):
-        miss = m & inv
-        if miss and miss & (miss - 1) == 0 and miss.bit_length() != m.bit_length():
-            out.append((miss.bit_length() - 1, k))
+    for k in iter_bits(_single_missing(bits, cols)):
+        m = masks[k]
+        top = (m & inv).bit_length()
+        if top != m.bit_length():
+            out.append((top - 1, k))
     out.sort()
     return out
 
@@ -249,7 +252,7 @@ def normalize_max_shifts(
     bits = a.bits
     records: list[ShiftRecord] = []
     while True:
-        candidates = _nonstandard_candidates(bits, table.masks)
+        candidates = _nonstandard_candidates(bits, table)
         if not candidates:
             return CellSet(a.shape, bits), tuple(records)
         vidx, k = candidates[0] if rng is None else rng.choice(candidates)

@@ -19,6 +19,7 @@ from typing import Callable, Optional
 from .constructions import l_set, l_set_cardinality, m_formula
 from .engine import (
     _edge_table,
+    _single_missing,
     full_form,
     one_phase,
     percolates,
@@ -238,15 +239,15 @@ def shift_invariance_battery(
     violations = 0
     checked = 0
     table = _edge_table(shape, params)
+    cols = table.columns()
     for k in range(seeds):
         rng = random.Random(seed_base + k)
         a = CellSet(shape, rng.getrandbits(n))
         closed, _ = full_form(a, params)
         inv = ~a.bits
-        for j, m in enumerate(table.masks):
+        for j in iter_bits(_single_missing(a.bits, cols)):
+            m = table.masks[j]
             miss = m & inv
-            if not miss or miss & (miss - 1):
-                continue
             e = table.edge(j)
             for w in iter_bits(m & ~miss):
                 moved, _ = shift(a, e, unchecked_vertex(shape, w))

@@ -116,8 +116,8 @@ def test_full_form_examples():
 
 
 def test_full_form_matches_iterated_phase_step():
-    # The closure loop rescans only edges touching fresh cells; it must agree
-    # with the plain one-step operation iterated to a fixpoint.
+    # The closure runs phases on one generator; it must agree with the
+    # plain one-step operation iterated to a fixpoint.
     rng = random.Random(9)
     for dims, t, r in (((4, 4), 2, 2), ((3, 3, 3), 2, 2), ((5, 5), 3, 2)):
         shape, params = GridShape(dims), Params(t, r)
@@ -328,6 +328,7 @@ def assert_table_matches_reference(shape, params):
     assert table.masks == tuple(masks)
     assert table.cells() == naive_edge_cells(shape, edges)
     assert table.through() == mask_walk_through(shape, masks)
+    assert table.columns() == [sum(1 << k for k in ks) for ks in table.through()]
     assert all_edges(shape, params) == tuple(edges)
     assert tuple(sorted(all_edges(shape, params), key=Edge.sort_key)) == tuple(edges)
 
@@ -425,3 +426,96 @@ def test_edge_cells_are_the_mask_bits_and_searches_build_no_edges():
     cells = table.cells()
     assert cells is table.cells()
     assert cells == [tuple(iter_bits(m)) for m in table.masks]
+
+
+# Reference: the scalar closure core as it ran before the edge columns,
+# scanning every edge mask for the edges that miss exactly one cell.
+
+
+def mask_scan_additions(bits, masks):
+    add = 0
+    for m in masks:
+        miss = m & ~bits
+        if miss and miss & (miss - 1) == 0:
+            add |= miss
+    return add
+
+
+def mask_phases(bits, masks):
+    """Phase sets after `bits`, rescanning only the edges that gained cells."""
+    phases = []
+    scan = masks
+    while True:
+        add = mask_scan_additions(bits, scan)
+        if not add:
+            return phases
+        bits |= add
+        phases.append(bits)
+        scan = [m for m in masks if m & add]
+
+
+def mask_closure_bits(bits, masks, full):
+    scan = masks
+    while True:
+        add = mask_scan_additions(bits, scan)
+        if not add:
+            return bits
+        bits |= add
+        if bits == full:
+            return bits
+        scan = [m for m in masks if m & add]
+
+
+def mask_infecting_edge(bits, idx, table):
+    inv = ~bits
+    for k, m in enumerate(table.masks):
+        if m & inv == 1 << idx:
+            return table.edge(k)
+    return None
+
+
+@st.composite
+def closure_instances(draw):
+    d = draw(st.integers(1, 4))
+    dims = tuple(draw(st.lists(st.integers(1, (8, 5, 4, 3)[d - 1]), min_size=d, max_size=d)))
+    shape = GridShape(dims)
+    # Dense, sparse and uniform random sets.
+    n = cell_count(shape)
+    words = [draw(st.integers(0, (1 << n) - 1)) for _ in range(2)]
+    bits = draw(st.sampled_from((words[0], words[0] | words[1], words[0] & words[1])))
+    return CellSet(shape, bits), draw(st.sampled_from((2, 3)))
+
+
+def assert_core_matches_mask_scan(a, params):
+    table = _edge_table(a.shape, params)
+    full = (1 << cell_count(a.shape)) - 1
+    phases = mask_phases(a.bits, table.masks)
+    closed, trace = full_form(a, params)
+    assert [p.bits for p in trace.phases] == [a.bits, *phases]
+    assert closed.bits == mask_closure_bits(a.bits, table.masks, full)
+    assert phase_step(a, params).bits == a.bits | mask_scan_additions(a.bits, table.masks)
+    assert percolates(a, params) == (mask_closure_bits(a.bits, table.masks, full) == full)
+    assert one_phase(a, params) == (a.bits | mask_scan_additions(a.bits, table.masks) == full)
+    for idx in range(cell_count(a.shape)):
+        if not a.bits >> idx & 1:
+            v = vertex_at(a.shape, idx)
+            assert infecting_edge(a, v, params) == mask_infecting_edge(a.bits, idx, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(closure_instances())
+def test_scalar_core_matches_mask_scan_reference(inst):
+    a, t = inst
+    for r in range(1, a.shape.d + 1):
+        assert_core_matches_mask_scan(a, Params(t, r))
+
+
+def test_scalar_core_matches_mask_scan_reference_on_l_sets():
+    # L sets percolate through long phase traces; dropping a cell stops them.
+    for dims, t, r in (((6, 6), 2, 2), ((5, 6), 3, 2), ((3, 4, 3), 2, 2), ((3, 3, 3), 2, 3),
+                       ((1, 3, 1, 4), 2, 2), ((2, 3, 2, 3), 2, 3)):
+        shape, params = GridShape(dims), Params(t, r)
+        a = l_set(shape, params)
+        assert_core_matches_mask_scan(a, params)
+        for idx in iter_bits(a.bits):
+            assert_core_matches_mask_scan(CellSet(shape, a.bits ^ 1 << idx), params)

@@ -50,6 +50,9 @@ CASES = {
     "normalize_2d": (["normalize"], INST_2D, 0),
     "reach_2d": (["reach", "--goal", "contains-l", "--maximal-only"], INST_2D, 0),
     "verify_prop2_2": (["verify", "--suite", "prop2_2", "--json"], None, 0),
+    # The shift battery and the closure laws run the scalar closure core.
+    "verify_prop4_4": (["verify", "--suite", "prop4_4", "--json"], None, 0),
+    "verify_closure_laws": (["verify", "--suite", "closure_laws", "--json"], None, 0),
 }
 
 

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from boxperc import search
 from boxperc.constructions import l_set, m_formula
 from boxperc.engine import (
-    _closure_bits,
     _edge_table,
-    _scan_additions,
     all_edges,
     full_form,
     one_phase,
@@ -154,7 +152,32 @@ def test_layer_blocks_decode_to_colex_order():
 
 # Reference: the search as it ran before it was bit-sliced, testing one
 # candidate at a time in colex order, with the empty-slice prune as a
-# predicate on the candidate's bits.
+# predicate on the candidate's bits. The closure and the phase are the mask
+# scans the engine used then, kept here so that the reference stays as it
+# was.
+
+
+def _scan_additions(bits, masks):
+    """Union of vertices with an infecting edge relative to `bits`."""
+    add = 0
+    for m in masks:
+        miss = m & ~bits
+        if miss and miss & (miss - 1) == 0:
+            add |= miss
+    return add
+
+
+def _closure_bits(bits, masks, full):
+    scan = masks
+    while True:
+        add = _scan_additions(bits, scan)
+        if not add:
+            return bits
+        bits |= add
+        if bits == full:
+            return bits
+        # Only edges that gained cells can change their missing count.
+        scan = [m for m in masks if m & add]
 
 
 def scalar_min_size(shape, params, target, budget):
