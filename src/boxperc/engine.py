@@ -6,9 +6,9 @@ infectable vertex at once; step iteration adds one at a time. Both reach
 the same fixpoint (the closure), which is what `full_form` computes. A set
 percolates when its closure covers the whole grid.
 
-Each (shape, params) pair has one cached edge table: every hyperedge's
-per-axis index sets and its occupancy bitmask, generated directly in the
-documented edge order (varying axes ascending, then the varying value
+Each (shape, params) pair has one cached edge table. It stores only each
+hyperedge's occupancy bitmask and the block layout that generated them in
+the documented edge order (varying axes ascending, then the varying value
 tuples, then the fixed coordinates). Masks are per-axis products of
 row-major stride factors, shifted by the fixed coordinates, without
 visiting vertices one by one. The same layout gives each edge's index
@@ -23,26 +23,25 @@ the edges that miss exactly one cell in `once & ~twice`, at a cost of
 O(missing cells) big-int operations whatever the edge count; an edge's
 mask then gives its missing cell and its maximal corner.
 `EdgeTable.edge(k)` is the one way from an edge index to its `Edge`: it
-builds the object on first request and hands the same object to every
-later caller, including the tuple that the first `all_edges` call builds. Witnesses (`infecting_edge`, step traces, shift
-records) go through it, so an edge is built only when it is reported or
-`all_edges` asks for the whole tuple. Step traces propagate missing
-counts: each edge keeps the number of its cells still uninfected, so one
-step touches only the edges through the cell it infects, and a cell's
-witness is recorded when an edge's count drops to one. This is a
-desk-scale engine: grids whose edge count would exceed EDGE_TABLE_CAP are
-rejected up front.
+decodes edge k's index sets from the layout on first request and hands
+the same object to every later caller. Witnesses (`infecting_edge`, step
+traces, shift records) go through it, so an edge is built only when it is
+reported or `all_edges` asks for all of them. Step traces propagate
+missing counts: each edge keeps the number of its cells still uninfected,
+so one step touches only the edges through the cell it infects, and a
+cell's witness is recorded when an edge's count drops to one. This is a
+desk-scale engine: a grid whose edge count would exceed EDGE_TABLE_CAP is
+rejected before the block that would pass the cap is built.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
-from operator import itemgetter
 from typing import Iterator, Optional
 
 from .lattice import (
@@ -87,69 +86,60 @@ class StepTrace:
         return self.start.with_cells(v for v, _ in self.steps)
 
 
-def _count_edges(shape: GridShape, params: Params) -> int:
-    total = 0
-    for axes in combinations(range(shape.d), params.r):
-        term = 1
-        for i in range(shape.d):
-            n = shape.dims[i]
-            term *= math.comb(n, params.t) if i in axes else n
-        total += term
-    return total
-
-
 class EdgeTable:
     """Every hyperedge of one (shape, params) pair, in the documented order.
 
-    `sets[k]` holds the per-axis index sets of edge k and `masks[k]` its
-    occupancy bitmask. The `Edge` objects, the per-edge cell lists, the
-    per-cell incidence lists and the per-cell edge columns are built on
-    first use and kept.
+    The table stores `masks[k]`, the occupancy bitmask of edge k, and the
+    block layout; everything else is derived from them. `edge(k)` decodes
+    edge k on first request. The per-edge cell lists (`cells`), per-cell
+    incidence lists (`through`) and per-cell edge columns (`columns`) are
+    built on first use and kept.
 
     The table is laid out in one block per choice of varying axes. Within a
     block, edge k sits at `base + (sum of pos[j] * weights[j]) + fixed`,
     where pos[j] is the rank of its t-set on the j-th varying axis among
     that axis's t-sets (lex order), and fixed is the mixed-radix rank of its
     coordinates on the other axes. `blocks` keeps, per block, (base, varying
-    axes, weights, offsets): offsets[fixed] is the linear index that the
-    fixed coordinates add to a cell.
+    axes, weights, offsets, t-sets): offsets[fixed] is the linear index that
+    the fixed coordinates add to a cell, and t-sets[j] lists the 1-based
+    t-sets of the j-th varying axis in lex order.
     """
 
-    def __init__(self, shape: GridShape, sets: tuple, masks: tuple[int, ...],
-                 t: int, blocks: tuple) -> None:
+    def __init__(self, shape: GridShape, masks: tuple[int, ...], blocks: tuple) -> None:
         self.shape = shape
-        self.sets = sets
         self.masks = masks
-        self.t = t
         self.blocks = blocks
-        self._edges: Optional[tuple[Edge, ...]] = None
-        self._built: dict[int, Edge] = {}
-        self._cells: Optional[list[tuple[int, ...]]] = None
-        self._through: Optional[list[list[int]]] = None
-        self._columns: Optional[list[int]] = None
+        self._memo: dict[int, Edge] = {}
 
     def edge(self, k: int) -> Edge:
-        """Edge k, built once: every caller gets the same object, and the
-        `edges()` tuple reuses it."""
-        if self._edges is not None:
-            return self._edges[k]
-        e = self._built.get(k)
+        """Edge k, decoded once: every caller gets the same object.
+
+        Its block is the last one whose base is at most k. The fixed
+        coordinates are those of the cell at offsets[fixed], and each
+        varying axis takes the t-set whose rank its weight picks out.
+        """
+        e = self._memo.get(k)
         if e is None:
-            e = self._built[k] = Edge(self.sets[k])
+            if not 0 <= k < len(self.masks):
+                raise IndexError(f"edge index {k} out of range")
+            base, axes, weights, offsets, tsets = self.blocks[
+                bisect_right(self.blocks, k, key=lambda block: block[0]) - 1]
+            rel = k - base
+            sets = [(c,) for c in unchecked_vertex(self.shape, offsets[rel % len(offsets)])]
+            for i, w, ts in zip(axes, weights, tsets):
+                sets[i] = ts[rel // w % len(ts)]
+            e = self._memo[k] = Edge(tuple(sets))
         return e
 
     def edges(self) -> tuple[Edge, ...]:
-        if self._edges is None:
-            built = self._built
-            self._edges = tuple(built.pop(k, None) or Edge(s) for k, s in enumerate(self.sets))
-        return self._edges
+        return tuple(map(self.edge, range(len(self.masks))))
 
+    @cached_property
     def cells(self) -> list[tuple[int, ...]]:
         """For each edge, its cells (by linear index), ascending."""
-        if self._cells is None:
-            self._cells = [tuple(iter_bits(m)) for m in self.masks]
-        return self._cells
+        return [tuple(iter_bits(m)) for m in self.masks]
 
+    @cached_property
     def through(self) -> list[list[int]]:
         """For each cell (by linear index), the edges containing it, ascending.
 
@@ -160,36 +150,35 @@ class EdgeTable:
         order and the weights are mixed-radix, so each block's run comes out
         ascending, and blocks follow each other in edge order.
         """
-        if self._through is None:
-            dims = self.shape.dims
-            strides = _strides(dims)
-            through: list[list[int]] = [[] for _ in range(cell_count(self.shape))]
-            # One int object per edge index, shared by every list it is on.
-            ids = list(range(len(self.masks)))
-            for base, axes, weights, offsets in self.blocks:
-                # hold[j][x]: weighted ranks of the t-sets on axis axes[j]
-                # that hold coordinate x + 1.
-                hold = []
-                for i, w in zip(axes, weights):
-                    per = [[] for _ in range(dims[i])]
-                    for p, s in enumerate(combinations(range(dims[i]), self.t)):
-                        for x in s:
-                            per[x].append(p * w)
-                    hold.append(per)
-                var = [
-                    (sum(x * strides[i] for x, i in zip(xs, axes)),
-                     [per[x] for per, x in zip(hold, xs)])
-                    for xs in product(*(range(dims[i]) for i in axes))
-                ]
-                for rank, shift in enumerate(offsets):
-                    for cell, held in var:
-                        offs = [base + rank]
-                        for ranks in held[:-1]:
-                            offs = [o + q for o in offs for q in ranks]
-                        through[shift + cell] += [ids[o + q] for o in offs for q in held[-1]]
-            self._through = through
-        return self._through
+        dims = self.shape.dims
+        strides = _strides(dims)
+        through: list[list[int]] = [[] for _ in range(cell_count(self.shape))]
+        # One int object per edge index, shared by every list it is on.
+        ids = list(range(len(self.masks)))
+        for base, axes, weights, offsets, tsets in self.blocks:
+            # hold[j][x]: weighted ranks of the t-sets on axis axes[j]
+            # that hold coordinate x + 1.
+            hold = []
+            for i, w, ts in zip(axes, weights, tsets):
+                per = [[] for _ in range(dims[i])]
+                for p, s in enumerate(ts):
+                    for c in s:
+                        per[c - 1].append(p * w)
+                hold.append(per)
+            var = [
+                (sum(x * strides[i] for x, i in zip(xs, axes)),
+                 [per[x] for per, x in zip(hold, xs)])
+                for xs in product(*(range(dims[i]) for i in axes))
+            ]
+            for rank, shift in enumerate(offsets):
+                for cell, held in var:
+                    offs = [base + rank]
+                    for ranks in held[:-1]:
+                        offs = [o + q for o in offs for q in ranks]
+                    through[shift + cell] += [ids[o + q] for o in offs for q in held[-1]]
+        return through
 
+    @cached_property
     def columns(self) -> list[int]:
         """For each cell (by linear index), the int whose bit k is set when
         edge k holds the cell: the transpose of `masks`.
@@ -202,27 +191,28 @@ class EdgeTable:
         bit `rank * weight` for each t-set holding it. The weights are
         mixed-radix, so the product of one factor per varying axis has
         exactly the bits of the block's edges through the cell, less the
-        base and the fixed rank, which then shift it into place.
+        base and the fixed rank, which then shift it into place. Each
+        product is dropped once shifted, so the build peaks near the size
+        of the finished columns.
         """
-        if self._columns is None:
-            dims = self.shape.dims
-            strides = _strides(dims)
-            cols = [0] * cell_count(self.shape)
-            for base, axes, weights, offsets in self.blocks:
-                # (linear offset of the varying coordinates, their product)
-                boxes = [(0, 1)]
-                for i, w in zip(axes, weights):
-                    factors = [0] * dims[i]
-                    for p, s in enumerate(combinations(range(dims[i]), self.t)):
-                        for x in s:
-                            factors[x] |= 1 << p * w
-                    boxes = [(o + x * strides[i], b * f)
-                             for o, b in boxes for x, f in enumerate(factors)]
+        dims = self.shape.dims
+        strides = _strides(dims)
+        cols = [0] * cell_count(self.shape)
+        for base, axes, weights, offsets, tsets in self.blocks:
+            # (linear offset of the varying coordinates, their product)
+            boxes = [(0, 1)]
+            for i, w, ts in zip(axes, weights, tsets):
+                factors = [0] * dims[i]
+                for p, s in enumerate(ts):
+                    for c in s:
+                        factors[c - 1] |= 1 << p * w
+                boxes = [(o + x * strides[i], b * f)
+                         for o, b in boxes for x, f in enumerate(factors)]
+            while boxes:
+                o, b = boxes.pop()
                 for rank, shift in enumerate(offsets):
-                    for o, b in boxes:
-                        cols[shift + o] |= b << base + rank
-            self._columns = cols
-        return self._columns
+                    cols[shift + o] |= b << base + rank
+        return cols
 
 
 def _strides(dims: tuple[int, ...]) -> list[int]:
@@ -233,20 +223,21 @@ def _strides(dims: tuple[int, ...]) -> list[int]:
 @lru_cache(maxsize=256)
 def _edge_table(shape: GridShape, params: Params) -> EdgeTable:
     check_compatible(shape, params)
-    if _count_edges(shape, params) > EDGE_TABLE_CAP:
-        raise ValueError(
-            f"shape {shape.dims} with t={params.t}, r={params.r} has more than "
-            f"{EDGE_TABLE_CAP} hyperedges; beyond the desk-scale engine"
-        )
     dims = shape.dims
     strides = _strides(dims)
-    sets: list = []
     masks: list[int] = []
     blocks = []
     for axes in combinations(range(shape.d), params.r):
         others = [i for i in range(shape.d) if i not in axes]
-        tsets = [list(combinations(range(1, dims[i] + 1), params.t)) for i in axes]
         n_fixed = math.prod(dims[i] for i in others)
+        # Refuse before building a block that would pass the cap.
+        size = n_fixed * math.prod(math.comb(dims[i], params.t) for i in axes)
+        if len(masks) + size > EDGE_TABLE_CAP:
+            raise ValueError(
+                f"shape {shape.dims} with t={params.t}, r={params.r} has more than "
+                f"{EDGE_TABLE_CAP} hyperedges; beyond the desk-scale engine"
+            )
+        tsets = [list(combinations(range(1, dims[i] + 1), params.t)) for i in axes]
         # Rank weights of the varying axes, last axis fastest, above the
         # fixed rank.
         weights = [n_fixed * math.prod(map(len, tsets[j + 1:])) for j in range(len(axes))]
@@ -262,17 +253,9 @@ def _edge_table(shape: GridShape, params: Params) -> EdgeTable:
             sum((c - 1) * strides[i] for c, i in zip(cs, others))
             for cs in product(*(range(1, dims[i] + 1) for i in others))
         ]
-        blocks.append((len(masks), axes, weights, offsets))
+        blocks.append((len(masks), axes, weights, offsets, tsets))
         masks.extend([b << o for b in boxes for o in offsets])
-        # Varying sets first, then the fixed ones, put back into axis order.
-        if others:
-            singles = [[(c,) for c in range(1, dims[i] + 1)] for i in others]
-            order = [*axes, *others]
-            pick = itemgetter(*(order.index(i) for i in range(shape.d)))
-            sets.extend(map(pick, product(*tsets, *singles)))
-        else:
-            sets.extend(product(*tsets))
-    return EdgeTable(shape, tuple(sets), tuple(masks), params.t, tuple(blocks))
+    return EdgeTable(shape, tuple(masks), tuple(blocks))
 
 
 def all_edges(shape: GridShape, params: Params) -> tuple[Edge, ...]:
@@ -338,7 +321,7 @@ def infecting_edge(a: CellSet, v, params: Params) -> Optional[Edge]:
         raise ValueError(f"vertex {v} is already infected")
     table = _edge_table(a.shape, params)
     masks, inv = table.masks, ~a.bits
-    for k in iter_bits(table.columns()[idx]):
+    for k in iter_bits(table.columns[idx]):
         if masks[k] & inv == vbit:
             return table.edge(k)
     return None
@@ -346,27 +329,27 @@ def infecting_edge(a: CellSet, v, params: Params) -> Optional[Edge]:
 
 def phase_step(a: CellSet, params: Params) -> CellSet:
     """One synchronous round: add every vertex that has an infecting edge."""
-    cols = _edge_table(a.shape, params).columns()
+    cols = _edge_table(a.shape, params).columns
     return CellSet(a.shape, next(_phases(a.bits, cols), a.bits))
 
 
 def full_form(a: CellSet, params: Params) -> tuple[CellSet, PhaseTrace]:
     """Iterate phases to the fixpoint; returns (closure, trace)."""
-    cols = _edge_table(a.shape, params).columns()
+    cols = _edge_table(a.shape, params).columns
     phases = [a, *(CellSet(a.shape, bits) for bits in _phases(a.bits, cols))]
     return phases[-1], PhaseTrace(tuple(phases))
 
 
 def percolates(a: CellSet, params: Params) -> bool:
     """True when the closure of `a` covers the whole grid."""
-    cols = _edge_table(a.shape, params).columns()
+    cols = _edge_table(a.shape, params).columns
     return _closure_bits(a.bits, cols) == (1 << len(cols)) - 1
 
 
 def one_phase(a: CellSet, params: Params) -> bool:
     """True when a single phase already covers the grid: every vertex
     outside `a` has an infecting edge within `a` itself."""
-    cols = _edge_table(a.shape, params).columns()
+    cols = _edge_table(a.shape, params).columns
     return next(_phases(a.bits, cols), a.bits) == (1 << len(cols)) - 1
 
 
@@ -385,7 +368,7 @@ def step_by_step(a: CellSet, params: Params, seed: Optional[int] = None) -> Step
     is kept as the counts drop.
     """
     table = _edge_table(a.shape, params)
-    masks, through = table.masks, table.through()
+    masks, through = table.masks, table.through
     rng = random.Random(seed) if seed is not None else None
     inv = ~a.bits
     missing = [(m & inv).bit_count() for m in masks]

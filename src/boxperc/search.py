@@ -42,7 +42,7 @@ from operator import and_
 from typing import Callable, Iterator, Optional
 
 from .constructions import l_set
-from .engine import _closure_bits, _edge_table, _phases, _single_missing
+from .engine import EdgeTable, _closure_bits, _edge_table, _phases, _single_missing
 from .lattice import (
     CellSet,
     GridShape,
@@ -280,7 +280,7 @@ def min_percolating_size(
 ) -> SearchReport:
     """Exact minimum size of a percolating set, by ascending enumeration."""
     check_compatible(shape, params)
-    edges = _edge_table(shape, params).cells()
+    edges = _edge_table(shape, params).cells
 
     def hits(cols: list[int], ones: int) -> int:
         # Infect in place until nothing grows: each column is then the
@@ -303,7 +303,7 @@ def min_one_phase_size(
 ) -> SearchReport:
     """Exact minimum size of a set whose first phase already covers the grid."""
     check_compatible(shape, params)
-    edges = _edge_table(shape, params).cells()
+    edges = _edge_table(shape, params).cells
 
     def hits(cols: list[int], ones: int) -> int:
         phase = list(cols)
@@ -333,7 +333,7 @@ def random_percolating_set(shape: GridShape, params: Params, seed: int) -> CellS
     order, dropping each cell whose removal keeps the set percolating.
     Deterministic for a given seed."""
     check_compatible(shape, params)
-    cols = _edge_table(shape, params).columns()
+    cols = _edge_table(shape, params).columns
     full = (1 << cell_count(shape)) - 1
     return _reverse_deletion(
         shape, params, seed, lambda bits: _closure_bits(bits, cols) == full
@@ -343,7 +343,7 @@ def random_percolating_set(shape: GridShape, params: Params, seed: int) -> CellS
 def random_one_phase_set(shape: GridShape, params: Params, seed: int) -> CellSet:
     """Deletion-minimal set that still covers the grid in a single phase."""
     check_compatible(shape, params)
-    cols = _edge_table(shape, params).columns()
+    cols = _edge_table(shape, params).columns
     full = (1 << cell_count(shape)) - 1
     return _reverse_deletion(
         shape, params, seed, lambda bits: next(_phases(bits, cols), bits) == full
@@ -379,10 +379,13 @@ def shift_reach(
     goal "contains-l" succeeds on states containing the L set of the grid;
     goal "one-phase" succeeds on states covering the grid in one phase.
     States are deduplicated by exact identity. `max_ops` bounds the
-    sequence length and `max_states` the number of distinct states kept.
+    sequence length and `max_states` the number of distinct states kept;
+    neither may be negative.
     """
+    if max_ops < 0 or max_states < 0:
+        raise ValueError(f"max_ops and max_states must be >= 0, got {max_ops} and {max_states}")
     table = _edge_table(a.shape, params)
-    masks, cols = table.masks, table.columns()
+    masks, cols = table.masks, table.columns
     full = (1 << cell_count(a.shape)) - 1
     if _closure_bits(a.bits, cols) != full:
         raise ValueError("shift_reach expects a percolating start set")
@@ -399,14 +402,12 @@ def shift_reach(
     if goal_fn(a.bits):
         return ReachResult("found", (), 1, 0)
 
-    shape = a.shape
-    visited = {a.bits}
-    # succ -> (state, edge index, infected bit, evicted bit)
-    parents: dict[int, tuple[int, int, int, int]] = {}
+    # state -> (parent state, edge index, infected bit, evicted bit), or
+    # None for the start; its keys are the states seen.
+    parents: dict[int, Optional[tuple[int, int, int, int]]] = {a.bits: None}
     frontier = [a.bits]
     depth = 0
-    truncated = False
-    while frontier and depth < max_ops and not truncated:
+    while frontier and depth < max_ops:
         nxt = []
         for state in frontier:
             inv = ~state
@@ -421,35 +422,31 @@ def shift_reach(
                     wbit = rest & -rest
                     rest ^= wbit
                     succ = (state | miss) & ~wbit
-                    if succ in visited:
+                    if succ in parents:
                         continue
-                    if len(visited) >= max_states:
-                        truncated = True
-                        break
-                    visited.add(succ)
+                    if len(parents) >= max_states:
+                        # A cut pass still counts as a level reached.
+                        return ReachResult("inconclusive", None, len(parents), depth + 1)
                     parents[succ] = (state, k, miss, wbit)
                     if goal_fn(succ):
-                        chain = []
-                        cur = succ
-                        while cur != a.bits:
-                            cur, k, vbit, wbit = parents[cur]
-                            chain.append(ShiftRecord(
-                                table.edge(k),
-                                unchecked_vertex(shape, vbit.bit_length() - 1),
-                                unchecked_vertex(shape, wbit.bit_length() - 1),
-                                maximal=wbit.bit_length() == masks[k].bit_length(),
-                            ))
-                        chain.reverse()
                         return ReachResult(
-                            "found", tuple(chain), len(visited), depth + 1
+                            "found", _shift_chain(table, parents, succ), len(parents), depth + 1
                         )
                     nxt.append(succ)
-                if truncated:
-                    break
-            if truncated:
-                break
         frontier = nxt
         depth += 1
-    if truncated or frontier:
-        return ReachResult("inconclusive", None, len(visited), depth)
-    return ReachResult("unreachable", None, len(visited), depth)
+    return ReachResult("inconclusive" if frontier else "unreachable", None, len(parents), depth)
+
+
+def _shift_chain(table: EdgeTable, parents: dict, state: int) -> tuple[ShiftRecord, ...]:
+    """The shift records leading from the start state to `state`."""
+    chain = []
+    while (link := parents[state]) is not None:
+        state, k, vbit, wbit = link
+        chain.append(ShiftRecord(
+            table.edge(k),
+            unchecked_vertex(table.shape, vbit.bit_length() - 1),
+            unchecked_vertex(table.shape, wbit.bit_length() - 1),
+            maximal=wbit.bit_length() == table.masks[k].bit_length(),
+        ))
+    return tuple(reversed(chain))

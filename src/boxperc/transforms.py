@@ -224,7 +224,7 @@ def _nonstandard_candidates(bits: int, table: EdgeTable) -> list[tuple[int, int]
     An edge's maximal corner is its highest bit, and table order is edge
     sort order.
     """
-    cols, masks = table.columns(), table.masks
+    cols, masks = table.columns, table.masks
     inv = ~bits
     out = []
     for k in iter_bits(_single_missing(bits, cols)):

@@ -239,7 +239,7 @@ def shift_invariance_battery(
     violations = 0
     checked = 0
     table = _edge_table(shape, params)
-    cols = table.columns()
+    cols = table.columns
     for k in range(seeds):
         rng = random.Random(seed_base + k)
         a = CellSet(shape, rng.getrandbits(n))
@@ -410,13 +410,15 @@ def suite_prop4_4(
     """Shifts never change the closure; at t = r = 2 every normalized
     percolating set contains row 1 and column 1 entirely."""
     report = VerificationReport("prop4_4")
+    # Half the seeds per battery, but never none.
+    half = max(1, seeds // 2)
     for dims, t in (((4, 4), 2), ((4, 4), 3)):
         bad, checked = shift_invariance_battery(
-            GridShape(dims), Params(t, 2), seeds // 2, seed_base
+            GridShape(dims), Params(t, 2), half, seed_base
         )
         report.add(
             "shift-invariance",
-            f"{dims} t={t} r=2 x{seeds // 2} ({checked} shifts)",
+            f"{dims} t={t} r=2 x{half} ({checked} shifts)",
             0,
             bad,
             bad == 0,
@@ -506,4 +508,8 @@ SUITES: dict[str, Callable[..., VerificationReport]] = {
 def run_suite(name: str, **kwargs) -> VerificationReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    # A count below its floor would check nothing and still report PASS.
+    for key, least in (("seeds", 1), ("step_seeds", 1), ("n_cap", 2)):
+        if kwargs.get(key, least) < least:
+            raise ValueError(f"{key} must be at least {least}, got {kwargs[key]}")
     return SUITES[name](**kwargs)

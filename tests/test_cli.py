@@ -219,6 +219,32 @@ def test_reach(tmp_path, capsys):
     )
     assert rc == 3
     assert json.loads(out)["status"] == "inconclusive"
+    for flag in ("--max-ops", "--max-states"):
+        rc, out, err = run(
+            capsys, "reach", "--input", str(path), "--goal", "contains-l", flag, "-3",
+        )
+        assert (rc, out) == (2, "")
+        assert "must be >= 0" in err
+
+
+@pytest.mark.parametrize("suite,flag,value", [
+    ("lemma_union", "--seeds", "-5"),
+    ("lemma_union", "--seeds", "0"),
+    ("prop2_2", "--cap-n", "-3"),
+    ("prop2_2", "--cap-n", "1"),
+    ("closure_laws", "--step-seeds", "-2"),
+    ("closure_laws", "--step-seeds", "0"),
+])
+def test_verify_rejects_counts_that_check_nothing(suite, flag, value, capsys):
+    rc, out, err = run(capsys, "verify", "--suite", suite, flag, value)
+    assert (rc, out) == (2, "")
+    assert "at least" in err and value in err
+
+
+def test_verify_prop4_4_checks_shifts_with_a_single_seed(capsys):
+    rc, out, _ = run(capsys, "verify", "--suite", "prop4_4", "--seeds", "1")
+    assert rc == 0
+    assert out.count("r=2 x1 (") == 2 and "(0 shifts)" not in out
 
 
 def test_verify_command(capsys):

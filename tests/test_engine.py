@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxperc import engine
 from boxperc.constructions import l_set
 from boxperc.engine import (
     _edge_table,
@@ -260,6 +262,17 @@ def test_edge_enumeration_cap():
         percolates(CellSet.empty(shape), P22)
 
 
+def test_edge_cap_counts_every_block(monkeypatch):
+    # (2,5) at t=2, r=1 has a block of 5 edges (axis 1 varies) and one of
+    # 20 (axis 2 varies): the cap holds the running total, not one block.
+    shape, params = GridShape((2, 5)), Params(2, 1)
+    monkeypatch.setattr(engine, "EDGE_TABLE_CAP", 25)
+    assert len(_edge_table.__wrapped__(shape, params).masks) == 25
+    monkeypatch.setattr(engine, "EDGE_TABLE_CAP", 24)
+    with pytest.raises(ValueError, match="more than 24 hyperedges"):
+        _edge_table.__wrapped__(shape, params)
+
+
 # Naive reference engine: enumerate Edge objects, sort them, then build each
 # mask vertex by vertex; step traces rescan every mask at every step.
 
@@ -323,12 +336,18 @@ def mask_walk_through(shape, masks):
 
 def assert_table_matches_reference(shape, params):
     edges, masks = naive_edge_table(shape, params)
-    table = _edge_table(shape, params)
-    assert table.sets == tuple(e.sets for e in edges)
+    # A fresh table, so every edge is decoded here rather than read back
+    # from an earlier example's memo; last edge first.
+    table = _edge_table.__wrapped__(shape, params)
+    decoded = [table.edge(k).sets for k in reversed(range(len(edges)))]
+    assert decoded[::-1] == [e.sets for e in edges]
+    for k in (-1, len(edges)):
+        with pytest.raises(IndexError):
+            table.edge(k)
     assert table.masks == tuple(masks)
-    assert table.cells() == naive_edge_cells(shape, edges)
-    assert table.through() == mask_walk_through(shape, masks)
-    assert table.columns() == [sum(1 << k for k in ks) for ks in table.through()]
+    assert table.cells == naive_edge_cells(shape, edges)
+    assert table.through == mask_walk_through(shape, masks)
+    assert table.columns == [sum(1 << k for k in ks) for ks in table.through]
     assert all_edges(shape, params) == tuple(edges)
     assert tuple(sorted(all_edges(shape, params), key=Edge.sort_key)) == tuple(edges)
 
@@ -407,12 +426,12 @@ def test_shift_layer_builds_only_reported_edges():
     _, records = normalize_max_shifts(a, params)
     reach = shift_reach(a, params, "contains-l", max_ops=len(records), maximal_only=True)
     assert records and reach.records
-    assert table._edges is None
-    built = [witness] + [r.edge for r in records + reach.records]
-    # Edges built before the tuple are its members, and the tuple is what
-    # edge() hands out from then on.
+    reported = [witness] + [r.edge for r in records + reach.records]
+    index = {e: k for k, e in enumerate(naive_edge_table(shape, params)[0])}
+    # The memo holds exactly the reported edges, as the objects reported.
+    assert set(table._memo) == {index[e] for e in reported}
+    assert all(table._memo[index[e]] is e for e in reported)
     edges = all_edges(shape, params)
-    assert all(any(e is f for f in edges) for e in built)
     assert all(table.edge(k) is edges[k] for k in range(len(edges)))
 
 
@@ -422,10 +441,25 @@ def test_edge_cells_are_the_mask_bits_and_searches_build_no_edges():
     table = _edge_table(shape, P22)
     min_percolating_size(shape, P22)
     min_one_phase_size(shape, P22)
-    assert table._edges is None and not table._built
-    cells = table.cells()
-    assert cells is table.cells()
+    assert not table._memo
+    cells = table.cells
+    assert cells is table.cells
     assert cells == [tuple(iter_bits(m)) for m in table.masks]
+
+
+def test_columns_build_peaks_near_their_final_size():
+    # Each block product is dropped once shifted into place, so building
+    # the columns never holds much more than the columns themselves.
+    table = _edge_table.__wrapped__(GridShape((20, 20)), P22)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table.columns
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.25 * (held - before)
 
 
 # Reference: the scalar closure core as it ran before the edge columns,
