@@ -11,10 +11,12 @@ All arithmetic here is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
 from math import prod
+from operator import and_
 
-from .lattice import CellSet, GridShape, Params, check_compatible
+from .lattice import CellSet, GridShape, Params, check_compatible, relabel_axis
 
 
 @dataclass(frozen=True)
@@ -32,22 +34,23 @@ class MFormulaTerms:
 
 
 def l_set(shape: GridShape, params: Params) -> CellSet:
-    """Vertices with at most r - 1 coordinates exceeding t - 1."""
+    """Vertices with at most r - 1 coordinates exceeding t - 1.
+
+    A cell is outside L when some r axes all carry a coordinate >= t, so L
+    is the full set less the union, over r-subsets of the axes, of the
+    intersection of their high parts (slices t..n_i along axis i).
+    """
     check_compatible(shape, params)
-    limit = params.t - 1
-
-    # Row-major walk, counting coordinates above the threshold.
-    def walk(axis: int, exceed: int, idx: int) -> int:
-        bits = 0
-        if axis == shape.d:
-            return (1 << idx) if exceed <= params.r - 1 else 0
-        n = shape.dims[axis]
-        for c in range(1, n + 1):
-            bits |= walk(axis + 1, exceed + (c > limit), idx * n + (c - 1))
-        return bits
-
-    bits = walk(0, 0, 0)
-    return CellSet(shape, bits)
+    full = CellSet.full(shape)
+    high = [
+        relabel_axis(full, i, [c if c >= params.t else 0 for c in range(1, n + 1)]).bits
+        if n >= params.t else 0
+        for i, n in enumerate(shape.dims, start=1)
+    ]
+    outside = 0
+    for axes in combinations(high, params.r):
+        outside |= reduce(and_, axes)
+    return CellSet(shape, full.bits & ~outside)
 
 
 def l_set_cardinality(shape: GridShape, params: Params) -> int:

@@ -56,6 +56,7 @@ from .lattice import (
     iter_bits,
     linear_index,
     p_slice,
+    row_strides,
     unchecked_vertex,
 )
 
@@ -131,9 +132,6 @@ class EdgeTable:
             e = self._memo[k] = Edge(tuple(sets))
         return e
 
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(map(self.edge, range(len(self.masks))))
-
     @cached_property
     def cells(self) -> list[tuple[int, ...]]:
         """For each edge, its cells (by linear index), ascending."""
@@ -151,7 +149,7 @@ class EdgeTable:
         ascending, and blocks follow each other in edge order.
         """
         dims = self.shape.dims
-        strides = _strides(dims)
+        strides = row_strides(dims)
         through: list[list[int]] = [[] for _ in range(cell_count(self.shape))]
         # One int object per edge index, shared by every list it is on.
         ids = list(range(len(self.masks)))
@@ -196,7 +194,7 @@ class EdgeTable:
         of the finished columns.
         """
         dims = self.shape.dims
-        strides = _strides(dims)
+        strides = row_strides(dims)
         cols = [0] * cell_count(self.shape)
         for base, axes, weights, offsets, tsets in self.blocks:
             # (linear offset of the varying coordinates, their product)
@@ -215,16 +213,11 @@ class EdgeTable:
         return cols
 
 
-def _strides(dims: tuple[int, ...]) -> list[int]:
-    """Row-major strides: cell (x1, ..., xd) has linear index sum((x_i - 1) * stride_i)."""
-    return [math.prod(dims[i + 1:]) for i in range(len(dims))]
-
-
 @lru_cache(maxsize=256)
 def _edge_table(shape: GridShape, params: Params) -> EdgeTable:
     check_compatible(shape, params)
     dims = shape.dims
-    strides = _strides(dims)
+    strides = row_strides(dims)
     masks: list[int] = []
     blocks = []
     for axes in combinations(range(shape.d), params.r):
@@ -260,7 +253,8 @@ def _edge_table(shape: GridShape, params: Params) -> EdgeTable:
 
 def all_edges(shape: GridShape, params: Params) -> tuple[Edge, ...]:
     """Every hyperedge of the grid, in the deterministic sort order."""
-    return _edge_table(shape, params).edges()
+    table = _edge_table(shape, params)
+    return tuple(map(table.edge, range(len(table.masks))))
 
 
 def _single_missing(bits: int, cols: list[int]) -> int:

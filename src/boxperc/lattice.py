@@ -9,6 +9,14 @@ A CellSet stores occupancy densely as one Python integer: bit k holds the
 cell whose 0-based row-major linear index is k (last coordinate varies
 fastest). That keeps values immutable and hashable and makes the hot set
 operations (union, subset test, popcount) cheap.
+
+The row-major layout is defined here and only here: the vertex codec
+(`linear_index`, `vertex_at`), the strides (`row_strides`, which the edge
+table build also reads), the edge and slice masks, and `relabel_axis`. A
+slice along an axis is one run of bits per block of the earlier axes, so
+`relabel_axis` moves, merges or drops whole slices with shifts and masks;
+every slice surgery (projection, slice permutation, union and removal)
+is one call to it.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Vertex = tuple[int, ...]
 
@@ -78,6 +86,18 @@ def cell_count(shape: GridShape) -> int:
 def edgesum(shape: GridShape) -> int:
     """Sum of the axis lengths (the induction measure for slice surgery)."""
     return sum(shape.dims)
+
+
+def axis_length(shape: GridShape, axis: int) -> int:
+    """Length of the 1-based `axis`; raises for an axis outside 1..d."""
+    if not 1 <= axis <= shape.d:
+        raise ValueError(f"axis {axis} out of range for shape {shape.dims}")
+    return shape.dims[axis - 1]
+
+
+def row_strides(dims: tuple[int, ...]) -> list[int]:
+    """Row-major strides: cell (x1, ..., xd) has linear index sum((x_i - 1) * stride_i)."""
+    return [math.prod(dims[i + 1:]) for i in range(len(dims))]
 
 
 def check_vertex(shape: GridShape, vertex: Iterable[int]) -> Vertex:
@@ -257,12 +277,6 @@ class Edge:
     def r(self) -> int:
         return len(self.axes)
 
-    def varying(self) -> dict[int, tuple[int, ...]]:
-        return {i + 1: s for i, s in enumerate(self.sets) if len(s) > 1}
-
-    def fixed(self) -> dict[int, int]:
-        return {i + 1: s[0] for i, s in enumerate(self.sets) if len(s) == 1}
-
     def max_corner(self) -> Vertex:
         """The unique edge vertex of maximal coordinate sum."""
         return tuple(s[-1] for s in self.sets)
@@ -304,25 +318,22 @@ def edge_mask(edge: Edge, shape: GridShape) -> int:
     """
     if edge.d != shape.d:
         raise ValueError(f"edge has {edge.d} axes, shape has {shape.d}")
-    bits, stride = 1, 1
-    for s, n in zip(reversed(edge.sets), reversed(shape.dims)):
+    bits = 1
+    for s, n, w in reversed(list(zip(edge.sets, shape.dims, row_strides(shape.dims)))):
         if s[-1] > n:
             raise ValueError(f"edge index set {s} out of bounds for {shape.dims}")
-        bits *= sum(1 << (c - 1) * stride for c in s)
-        stride *= n
+        bits *= sum(1 << (c - 1) * w for c in s)
     return bits
 
 
 @lru_cache(maxsize=4096)
 def slice_mask(shape: GridShape, axis: int, value: int) -> int:
     """Occupancy mask of the whole slice coord[axis] == value (1-based)."""
-    if not 1 <= axis <= shape.d:
-        raise ValueError(f"axis {axis} out of range for shape {shape.dims}")
-    if not 1 <= value <= shape.dims[axis - 1]:
+    n_axis = axis_length(shape, axis)
+    if not 1 <= value <= n_axis:
         raise ValueError(f"slice index {value} out of range on axis {axis}")
     outer = math.prod(shape.dims[: axis - 1])
     inner = math.prod(shape.dims[axis:])
-    n_axis = shape.dims[axis - 1]
     run = (1 << inner) - 1
     bits = 0
     for o in range(outer):
@@ -336,27 +347,71 @@ def slice_cells(a: CellSet, axis: int, value: int) -> CellSet:
     return CellSet(a.shape, a.bits & slice_mask(a.shape, axis, value))
 
 
+def relabel_axis(a: CellSet, axis: int, to: Sequence[int]) -> CellSet:
+    """Move slice c along `axis` to position to[c-1], or drop it where that is 0.
+
+    Slices sent to one position merge, and the axis gets length max(to),
+    at most its old length n. In row-major order a slice is one run of
+    prod(dims[axis:]) bits in each block of n runs, so one shift and one
+    mask move a slice in every block at once; when the axis shrinks, the
+    blocks are then packed to their new length. No member is decoded.
+    """
+    dims = a.shape.dims
+    n = axis_length(a.shape, axis)
+    if len(to) != n or min(to) < 0 or max(to) > n:
+        raise ValueError(f"{tuple(to)} does not relabel the {n} slices of axis {axis}")
+    m = max(to)
+    inner = math.prod(dims[axis:])
+    first = slice_mask(a.shape, axis, 1)
+    bits = 0
+    for c, p in enumerate(to):
+        if p:
+            bits |= (a.bits >> c * inner & first) << (p - 1) * inner
+    if m == n:
+        return CellSet(a.shape, bits)
+    bits = _pack(bits, math.prod(dims[: axis - 1]), n * inner, m * inner)
+    return CellSet(GridShape(dims[: axis - 1] + (m,) + dims[axis:]), bits)
+
+
+def _pack(bits: int, count: int, old: int, new: int) -> int:
+    """Keep the low `new` bits of each of `count` blocks of `old` bits and
+    lay them out at a stride of `new` bits.
+
+    Splitting the blocks in halves costs O(size * log count) big-int work,
+    where one shift per block would cost O(size * count).
+    """
+    if count == 1:
+        return bits & (1 << new) - 1
+    half = count // 2
+    low = _pack(bits & (1 << half * old) - 1, half, old, new)
+    return low | _pack(bits >> half * old, count - half, old, new) << half * new
+
+
 def project(a: CellSet, axis: int) -> CellSet:
     """Drop the given coordinate from every member.
 
     Members from different slices may collapse; the result is the union of
     the per-slice projections, on the (d-1)-dimensional shape.
     """
-    if not 1 <= axis <= a.shape.d:
-        raise ValueError(f"axis {axis} out of range for shape {a.shape.dims}")
-    if a.shape.d == 1:
-        raise ValueError("cannot project a one-dimensional grid")
-    reduced = GridShape(a.shape.dims[: axis - 1] + a.shape.dims[axis:])
-    bits = 0
-    for v in a.cells():
-        w = v[: axis - 1] + v[axis:]
-        bits |= 1 << linear_index(reduced, w)
-    return CellSet(reduced, bits)
+    return _squash(a, axis, [1] * axis_length(a.shape, axis))
 
 
 def p_slice(a: CellSet, axis: int, value: int) -> CellSet:
     """Projection of one slice: the slice content seen on the reduced shape."""
-    return project(slice_cells(a, axis, value), axis)
+    n = axis_length(a.shape, axis)
+    if not 1 <= value <= n:
+        raise ValueError(f"slice index {value} out of range on axis {axis}")
+    return _squash(a, axis, [int(c == value) for c in range(1, n + 1)])
+
+
+def _squash(a: CellSet, axis: int, to: list[int]) -> CellSet:
+    """Relabel the slices along `axis` onto position 1 or drop them, then
+    drop the axis: one of length 1 adds nothing to a row-major index, so
+    the bits stay."""
+    if a.shape.d == 1:
+        raise ValueError("cannot project a one-dimensional grid")
+    dims = a.shape.dims
+    return CellSet(GridShape(dims[: axis - 1] + dims[axis:]), relabel_axis(a, axis, to).bits)
 
 
 def permute_slices(a: CellSet, axis: int, order: Iterable[int]) -> CellSet:
@@ -365,15 +420,11 @@ def permute_slices(a: CellSet, axis: int, order: Iterable[int]) -> CellSet:
     `order` lists 1-based old slice indices; the new slice at position m is
     the old slice order[m-1]. Must be a permutation of 1..n_axis.
     """
-    n = a.shape.dims[axis - 1]
+    n = axis_length(a.shape, axis)
     order = tuple(int(i) for i in order)
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"{order} is not a permutation of 1..{n}")
-    old_of_new = order
-    new_of_old = {old: new for new, old in enumerate(old_of_new, start=1)}
-    bits = 0
-    for v in a.cells():
-        w = list(v)
-        w[axis - 1] = new_of_old[v[axis - 1]]
-        bits |= 1 << linear_index(a.shape, w)
-    return CellSet(a.shape, bits)
+    to = [0] * n
+    for new, old in enumerate(order, start=1):
+        to[old - 1] = new
+    return relabel_axis(a, axis, to)

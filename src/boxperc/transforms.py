@@ -19,15 +19,15 @@ from .engine import EdgeTable, _edge_table, _single_missing, infecting_edge, one
 from .lattice import (
     CellSet,
     Edge,
-    GridShape,
     Params,
     Vertex,
+    axis_length,
     check_vertex,
     edge_mask,
     iter_bits,
-    linear_index,
     p_slice,
     permute_slices,
+    relabel_axis,
     unchecked_index,
     unchecked_vertex,
 )
@@ -64,48 +64,28 @@ def union_slices(a: CellSet, axis: int, m1: int, m2: int) -> CellSet:
 
     The union lands at position min(m1, m2); later slices shift down one.
     """
-    n = a.shape.dims[axis - 1]
+    n = axis_length(a.shape, axis)
     if m1 == m2:
         raise ValueError("need two distinct slices to merge")
     for m in (m1, m2):
         if not 1 <= m <= n:
             raise ValueError(f"slice index {m} out of range on axis {axis}")
     lo, hi = sorted((m1, m2))
-    dims = list(a.shape.dims)
-    dims[axis - 1] = n - 1
-    reduced = GridShape(tuple(dims))
-    bits = 0
-    for v in a.cells():
-        c = v[axis - 1]
-        if c == hi:
-            c = lo
-        elif c > hi:
-            c -= 1
-        w = v[: axis - 1] + (c,) + v[axis:]
-        bits |= 1 << linear_index(reduced, w)
-    return CellSet(reduced, bits)
+    to = [c - (c > hi) for c in range(1, n + 1)]
+    to[hi - 1] = lo
+    return relabel_axis(a, axis, to)
 
 
 def remove_slice(a: CellSet, axis: int, m: int) -> CellSet:
     """Delete slice m along `axis`; later slices shift down one."""
-    n = a.shape.dims[axis - 1]
+    n = axis_length(a.shape, axis)
     if not 1 <= m <= n:
         raise ValueError(f"slice index {m} out of range on axis {axis}")
     if n == 1:
         raise ValueError("cannot remove the only slice of an axis")
-    dims = list(a.shape.dims)
-    dims[axis - 1] = n - 1
-    reduced = GridShape(tuple(dims))
-    bits = 0
-    for v in a.cells():
-        c = v[axis - 1]
-        if c == m:
-            continue
-        if c > m:
-            c -= 1
-        w = v[: axis - 1] + (c,) + v[axis:]
-        bits |= 1 << linear_index(reduced, w)
-    return CellSet(reduced, bits)
+    to = [c - (c > m) for c in range(1, n + 1)]
+    to[m - 1] = 0
+    return relabel_axis(a, axis, to)
 
 
 def _prow(a: CellSet, row: int) -> set[int]:

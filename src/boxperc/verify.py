@@ -37,6 +37,7 @@ from .lattice import (
 )
 from .search import (
     DEFAULT_BUDGET,
+    SearchReport,
     min_one_phase_size,
     min_percolating_size,
     random_one_phase_set,
@@ -70,6 +71,12 @@ class VerificationReport:
     def add(self, claim: str, instance: str, expected, observed, ok: Optional[bool]):
         status = "skip" if ok is None else ("pass" if ok else "fail")
         self.rows.append(VerificationRow(claim, instance, expected, observed, status))
+
+    def add_search(self, claim: str, instance: str, expected: int, res: SearchReport) -> None:
+        """Row for a minimum search against its expected value; skipped when
+        the search ran out of budget before it was exact."""
+        self.add(claim, instance, expected, res.minimum,
+                 res.minimum == expected if res.exact else None)
 
     @property
     def counts(self) -> dict[str, int]:
@@ -326,9 +333,7 @@ def suite_prop2_2(*, n_cap: int = 4, budget: int = DEFAULT_BUDGET, **_) -> Verif
     for n1 in range(2, n_cap + 1):
         for n2 in range(2, n_cap + 1):
             res = min_percolating_size(GridShape((n1, n2)), params, budget=budget)
-            expected = n1 + n2 - 1
-            ok = None if not res.exact else res.minimum == expected
-            report.add("2d-minimum", f"({n1},{n2}) t=2 r=2", expected, res.minimum, ok)
+            report.add_search("2d-minimum", f"({n1},{n2}) t=2 r=2", n1 + n2 - 1, res)
     return report
 
 
@@ -338,9 +343,7 @@ def suite_thm3_1(*, budget: int = DEFAULT_BUDGET, **_) -> VerificationReport:
     params = Params(2, 2)
     for dims in ((2, 2, 2), (2, 2, 3)):
         res = min_percolating_size(GridShape(dims), params, budget=budget)
-        expected = sum(dims) - (len(dims) - 1)
-        ok = None if not res.exact else res.minimum == expected
-        report.add("sum-minus-d-1", f"{dims} t=2 r=2", expected, res.minimum, ok)
+        report.add_search("sum-minus-d-1", f"{dims} t=2 r=2", sum(dims) - (len(dims) - 1), res)
     return report
 
 
@@ -354,8 +357,7 @@ def suite_thm2_7(
     for dims in ((3, 3), (3, 4)):
         res = min_one_phase_size(GridShape(dims), Params(t, 2), budget=budget)
         expected = (dims[0] + dims[1]) * (t - 1) - (t - 1) ** 2
-        ok = None if not res.exact else res.minimum == expected
-        report.add("one-phase-minimum", f"{dims} t={t} r=2", expected, res.minimum, ok)
+        report.add_search("one-phase-minimum", f"{dims} t={t} r=2", expected, res)
     for dims, tt in (((4, 4), 2), ((4, 5), 3)):
         bad, found = repack_battery(GridShape(dims), Params(tt, 2), seeds, seed_base)
         report.add(
@@ -448,7 +450,7 @@ def suite_closure_laws(
             "closure-laws",
             f"{dims} t={t} r={r} x{seeds} ({step_seeds} step seeds)",
             0,
-            bad if bad else 0,
+            bad,
             bad == 0,
         )
     bad, n = structure_battery(GridShape((5, 5)), Params(2, 2), seeds, seed_base)
@@ -470,15 +472,11 @@ def suite_formula_vs_oracle(
     for dims, t, r in matrix:
         res = min_percolating_size(GridShape(dims), Params(t, r), budget=budget)
         expected = m_formula(GridShape(dims), Params(t, r)).total
-        ok = None if not res.exact else res.minimum == expected
-        report.add("oracle-vs-formula", f"{dims} t={t} r={r}", expected, res.minimum, ok)
+        report.add_search("oracle-vs-formula", f"{dims} t={t} r={r}", expected, res)
     for dims in ((3, 3), (3, 4)):
         res = min_one_phase_size(GridShape(dims), Params(3, 2), budget=budget)
         expected = (dims[0] + dims[1]) * 2 - 4
-        ok = None if not res.exact else res.minimum == expected
-        report.add(
-            "one-phase-oracle-vs-bound", f"{dims} t=3 r=2", expected, res.minimum, ok
-        )
+        report.add_search("one-phase-oracle-vs-bound", f"{dims} t=3 r=2", expected, res)
     bad = 0
     total = 0
     for d in range(1, 5):

@@ -53,6 +53,10 @@ CASES = {
     # The shift battery and the closure laws run the scalar closure core.
     "verify_prop4_4": (["verify", "--suite", "prop4_4", "--json"], None, 0),
     "verify_closure_laws": (["verify", "--suite", "closure_laws", "--json"], None, 0),
+    # The slice surgeries: slice union, thin-row removal and the row repack.
+    "verify_lemma_union": (["verify", "--suite", "lemma_union", "--json"], None, 0),
+    "verify_prop_removal": (["verify", "--suite", "prop_removal", "--json"], None, 0),
+    "verify_thm2_7": (["verify", "--suite", "thm2_7", "--json"], None, 0),
 }
 
 

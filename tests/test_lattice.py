@@ -123,7 +123,7 @@ def test_edge_vertices_examples():
     e = Edge(((1,), (1,), (1, 2)))
     assert set(edge_vertices(e)) == {(1, 1, 1), (1, 1, 2)}
     assert e.axes == (3,)
-    assert e.fixed() == {1: 1, 2: 1}
+    assert e.sets[:2] == ((1,), (1,))
 
 
 def test_edge_validation():
