@@ -65,55 +65,41 @@ def _shape_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", default="-", help="output file, or - for stdout")
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and shared by every
-    later call. `parse_args` fills a fresh namespace each time, so no value
-    carries over from one call to the next."""
-    parser = argparse.ArgumentParser(
-        prog="boxperc", description="Bootstrap percolation on box grids."
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("percolate", help="run the infection process on an instance")
+def _percolate_args(p: argparse.ArgumentParser) -> None:
     _instance_args(p)
     p.add_argument("--steps", action="store_true", help="one vertex per step")
     p.add_argument("--seed", type=int, default=None, help="step choice seed")
     p.add_argument("--render", choices=["ascii", "svg"], default=None)
     p.add_argument("--render-output", default=None, help="file for the rendering")
 
-    p = subs.add_parser("check", help="report percolation predicates for an instance")
-    _instance_args(p)
 
-    p = subs.add_parser("lset", help="emit the minimal seed set for a grid")
+def _lset_args(p: argparse.ArgumentParser) -> None:
     _shape_args(p)
     p.add_argument("--format", choices=["json", "ascii"], default="json")
 
-    p = subs.add_parser("mvalue", help="emit the closed-form minimum size breakdown")
-    _shape_args(p)
 
-    p = subs.add_parser("search", help="exact minimum-size search")
+def _search_args(p: argparse.ArgumentParser) -> None:
     _shape_args(p)
     p.add_argument("--target", choices=["percolate", "one-phase"], default="percolate")
     p.add_argument("--mode", choices=["exact"], default="exact")
     p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
     p.add_argument("--csv", default=None, help="append a summary row to this CSV file")
 
-    p = subs.add_parser("normalize", help="apply maximal shifts to a fixpoint")
+
+def _normalize_args(p: argparse.ArgumentParser) -> None:
     _instance_args(p)
     p.add_argument("--seed", type=int, default=None, help="randomize the shift order")
 
-    p = subs.add_parser("decompose", help="row-projection decomposition of a stable set")
-    _instance_args(p)
 
-    p = subs.add_parser("reach", help="bounded breadth-first search over shift moves")
+def _reach_args(p: argparse.ArgumentParser) -> None:
     _instance_args(p)
     p.add_argument("--goal", choices=["contains-l", "one-phase"], required=True)
     p.add_argument("--max-ops", type=int, default=64)
     p.add_argument("--max-states", type=int, default=100_000)
     p.add_argument("--maximal-only", action="store_true")
 
-    p = subs.add_parser("verify", help="run a claim-verification suite")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--seeds", type=int, default=200)
     p.add_argument("--step-seeds", type=int, default=20)
@@ -123,14 +109,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--output", default="-")
 
-    p = subs.add_parser("render", help="draw an instance or trace")
+
+def _render_args(p: argparse.ArgumentParser) -> None:
     _instance_args(p)
     p.add_argument("--format", choices=["ascii", "svg"], default="ascii")
 
+
+@cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and command and
+    shared by every later call. `parse_args` fills a fresh namespace each
+    time, so no value carries over from one call to the next.
+
+    With a command name, only that command's subparser is built: a CLI call
+    runs one command, and building all of them costs more than most calls.
+    Its metavar keeps the top-level usage listing every command. With None
+    (help, or no known command), every subparser is built, and argparse's
+    own metavar keeps its error text ("argument command: invalid choice").
+    """
+    parser = argparse.ArgumentParser(
+        prog="boxperc", description="Bootstrap percolation on box grids."
+    )
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        help_text, add_args, _ = _COMMANDS[name]
+        add_args(subs.add_parser(name, help=help_text))
     return parser
 
 
 def _cmd_percolate(args) -> int:
+    if args.seed is not None and not args.steps:
+        raise ValueError("--seed picks the step order; it needs --steps")
+    if args.render_output is not None and not args.render:
+        raise ValueError("--render-output names the rendering's file; it needs --render")
     a, params = jsonio.parse_instance(_read_input(args.input))
     edges = None
     if args.steps:
@@ -291,24 +303,27 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "percolate": _cmd_percolate,
-    "check": _cmd_check,
-    "lset": _cmd_lset,
-    "mvalue": _cmd_mvalue,
-    "search": _cmd_search,
-    "normalize": _cmd_normalize,
-    "decompose": _cmd_decompose,
-    "reach": _cmd_reach,
-    "verify": _cmd_verify,
-    "render": _cmd_render,
+# name -> (help, argument adder, handler), in the order the help lists them.
+_COMMANDS = {
+    "percolate": ("run the infection process on an instance", _percolate_args, _cmd_percolate),
+    "check": ("report percolation predicates for an instance", _instance_args, _cmd_check),
+    "lset": ("emit the minimal seed set for a grid", _lset_args, _cmd_lset),
+    "mvalue": ("emit the closed-form minimum size breakdown", _shape_args, _cmd_mvalue),
+    "search": ("exact minimum-size search", _search_args, _cmd_search),
+    "normalize": ("apply maximal shifts to a fixpoint", _normalize_args, _cmd_normalize),
+    "decompose": ("row-projection decomposition of a stable set", _instance_args, _cmd_decompose),
+    "reach": ("bounded breadth-first search over shift moves", _reach_args, _cmd_reach),
+    "verify": ("run a claim-verification suite", _verify_args, _cmd_verify),
+    "render": ("draw an instance or trace", _render_args, _cmd_render),
 }
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (ValueError, OSError) as exc:
         # Invalid input (InstanceError and RenderError are ValueErrors) and
         # files that cannot be read or written.

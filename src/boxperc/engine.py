@@ -12,16 +12,16 @@ the documented edge order (varying axes ascending, then the varying value
 tuples, then the fixed coordinates). Masks are per-axis products of
 row-major stride factors, shifted by the fixed coordinates, without
 visiting vertices one by one. The same layout gives each edge's index
-arithmetically, so the per-cell incidence lists (`EdgeTable.through`) are
-computed from it rather than read off the masks. So are the edge columns
-(`EdgeTable.columns`), the transpose of the masks: one int per cell, whose
-bit k is set when edge k holds the cell. Every search for infecting edges
-reads the columns of the missing cells only: the phase scans, closures and
-predicates here, and the shift moves of `transforms`, `search` and
-`verify`. ORing those columns into `once` and `twice` accumulators leaves
-the edges that miss exactly one cell in `once & ~twice`, at a cost of
-O(missing cells) big-int operations whatever the edge count; an edge's
-mask then gives its missing cell and its maximal corner.
+arithmetically, so the edge columns (`EdgeTable.columns`) are computed
+from it rather than read off the masks: the transpose of the masks, one
+int per cell, whose bit k is set when edge k holds the cell. Every search
+for infecting edges reads the columns of the missing cells only: the phase
+scans, closures and predicates here, and the shift moves of `transforms`,
+`search` and `verify`. ORing those columns into `once` and `twice`
+accumulators leaves the edges that miss exactly one cell in
+`once & ~twice`, at a cost of O(missing cells) big-int operations whatever
+the edge count; an edge's mask then gives its missing cell and its maximal
+corner.
 `EdgeTable.edge(k)` is the one way from an edge index to its `Edge`: it
 decodes edge k's index sets from the layout on first request and hands
 the same object to every later caller. Witnesses (`infecting_edge`, step
@@ -29,9 +29,11 @@ traces, shift records) go through it, so an edge is built only when it is
 reported or `all_edges` asks for all of them. Step traces propagate
 missing counts: each edge keeps the number of its cells still uninfected,
 so one step touches only the edges through the cell it infects, and a
-cell's witness is recorded when an edge's count drops to one. This is a
-desk-scale engine: a grid whose edge count would exceed EDGE_TABLE_CAP is
-rejected before the block that would pass the cap is built.
+cell's witness is recorded when an edge's count drops to one. Those edges
+are computed from the layout when the cell is infected; no per-cell edge
+list is kept. This is a desk-scale engine: a grid whose edge count would
+exceed EDGE_TABLE_CAP is rejected before the block that would pass the cap
+is built.
 """
 
 from __future__ import annotations
@@ -92,18 +94,26 @@ class EdgeTable:
 
     The table stores `masks[k]`, the occupancy bitmask of edge k, and the
     block layout; everything else is derived from them. `edge(k)` decodes
-    edge k on first request. The per-edge cell lists (`cells`), per-cell
-    incidence lists (`through`) and per-cell edge columns (`columns`) are
-    built on first use and kept.
+    edge k on first request. The per-edge cell lists (`cells`) and per-cell
+    edge columns (`columns`) are built on first use and kept. Step traces
+    compute the edges through a cell from the layout instead of keeping a
+    list per cell.
 
     The table is laid out in one block per choice of varying axes. Within a
     block, edge k sits at `base + (sum of pos[j] * weights[j]) + fixed`,
     where pos[j] is the rank of its t-set on the j-th varying axis among
     that axis's t-sets (lex order), and fixed is the mixed-radix rank of its
     coordinates on the other axes. `blocks` keeps, per block, (base, varying
-    axes, weights, offsets, t-sets): offsets[fixed] is the linear index that
-    the fixed coordinates add to a cell, and t-sets[j] lists the 1-based
-    t-sets of the j-th varying axis in lex order.
+    axes, weights, offsets, t-sets, held, lines): offsets[fixed] is the
+    linear index that the fixed coordinates add to a cell, t-sets[j] lists
+    the 1-based t-sets of the j-th varying axis in lex order, and held[j][x]
+    lists the weighted ranks `pos * weights[j]` of those holding coordinate
+    x + 1, ascending. So the edges of a block through a cell are the base
+    plus the cell's fixed rank plus one rank from held[j] per varying axis.
+    lines[p] lists those sums without the last varying axis's rank, for
+    the cells whose row-major index over all the other axes is p (one line
+    along the last varying axis). A block's edges through a cell are then
+    its line's entries plus each rank in held[-1] at its coordinate there.
     """
 
     def __init__(self, shape: GridShape, masks: tuple[int, ...], blocks: tuple) -> None:
@@ -123,7 +133,7 @@ class EdgeTable:
         if e is None:
             if not 0 <= k < len(self.masks):
                 raise IndexError(f"edge index {k} out of range")
-            base, axes, weights, offsets, tsets = self.blocks[
+            base, axes, weights, offsets, tsets, _, _ = self.blocks[
                 bisect_right(self.blocks, k, key=lambda block: block[0]) - 1]
             rel = k - base
             sets = [(c,) for c in unchecked_vertex(self.shape, offsets[rel % len(offsets)])]
@@ -138,45 +148,6 @@ class EdgeTable:
         return [tuple(iter_bits(m)) for m in self.masks]
 
     @cached_property
-    def through(self) -> list[list[int]]:
-        """For each cell (by linear index), the edges containing it, ascending.
-
-        Read off the block layout, not the masks: in a block, the edges
-        through a cell are the block base plus the cell's fixed rank plus
-        one weighted t-set rank per varying axis, taken over the t-sets that
-        hold the cell's coordinate there. Ranks grow with the t-sets in lex
-        order and the weights are mixed-radix, so each block's run comes out
-        ascending, and blocks follow each other in edge order.
-        """
-        dims = self.shape.dims
-        strides = row_strides(dims)
-        through: list[list[int]] = [[] for _ in range(cell_count(self.shape))]
-        # One int object per edge index, shared by every list it is on.
-        ids = list(range(len(self.masks)))
-        for base, axes, weights, offsets, tsets in self.blocks:
-            # hold[j][x]: weighted ranks of the t-sets on axis axes[j]
-            # that hold coordinate x + 1.
-            hold = []
-            for i, w, ts in zip(axes, weights, tsets):
-                per = [[] for _ in range(dims[i])]
-                for p, s in enumerate(ts):
-                    for c in s:
-                        per[c - 1].append(p * w)
-                hold.append(per)
-            var = [
-                (sum(x * strides[i] for x, i in zip(xs, axes)),
-                 [per[x] for per, x in zip(hold, xs)])
-                for xs in product(*(range(dims[i]) for i in axes))
-            ]
-            for rank, shift in enumerate(offsets):
-                for cell, held in var:
-                    offs = [base + rank]
-                    for ranks in held[:-1]:
-                        offs = [o + q for o in offs for q in ranks]
-                    through[shift + cell] += [ids[o + q] for o in offs for q in held[-1]]
-        return through
-
-    @cached_property
     def columns(self) -> list[int]:
         """For each cell (by linear index), the int whose bit k is set when
         edge k holds the cell: the transpose of `masks`.
@@ -186,7 +157,7 @@ class EdgeTable:
         block base plus the cell's fixed rank plus one weighted t-set rank
         per varying axis, over the t-sets holding the cell's coordinate
         there. So each varying axis gives, per coordinate, a factor with
-        bit `rank * weight` for each t-set holding it. The weights are
+        bit `rank * weight` for each rank in `held`. The weights are
         mixed-radix, so the product of one factor per varying axis has
         exactly the bits of the block's edges through the cell, less the
         base and the fixed rank, which then shift it into place. Each
@@ -196,14 +167,11 @@ class EdgeTable:
         dims = self.shape.dims
         strides = row_strides(dims)
         cols = [0] * cell_count(self.shape)
-        for base, axes, weights, offsets, tsets in self.blocks:
+        for base, axes, _, offsets, _, held, _ in self.blocks:
             # (linear offset of the varying coordinates, their product)
             boxes = [(0, 1)]
-            for i, w, ts in zip(axes, weights, tsets):
-                factors = [0] * dims[i]
-                for p, s in enumerate(ts):
-                    for c in s:
-                        factors[c - 1] |= 1 << p * w
+            for i, per in zip(axes, held):
+                factors = [sum(1 << q for q in ranks) for ranks in per]
                 boxes = [(o + x * strides[i], b * f)
                          for o, b in boxes for x, f in enumerate(factors)]
             while boxes:
@@ -234,6 +202,15 @@ def _edge_table(shape: GridShape, params: Params) -> EdgeTable:
         # Rank weights of the varying axes, last axis fastest, above the
         # fixed rank.
         weights = [n_fixed * math.prod(map(len, tsets[j + 1:])) for j in range(len(axes))]
+        # held[j][x]: the weighted ranks of the t-sets on axis axes[j]
+        # that hold coordinate x + 1.
+        held = []
+        for i, w, ts in zip(axes, weights, tsets):
+            per: list[list[int]] = [[] for _ in range(dims[i])]
+            for p, s in enumerate(ts):
+                for c in s:
+                    per[c - 1].append(p * w)
+            held.append(per)
         # An index set S on a varying axis i contributes the factor
         # sum(2**((c-1)*stride_i) for c in S). Cells of a box have distinct
         # row-major offsets, so the product of the factors has exactly the
@@ -246,7 +223,23 @@ def _edge_table(shape: GridShape, params: Params) -> EdgeTable:
             sum((c - 1) * strides[i] for c, i in zip(cs, others))
             for cs in product(*(range(1, dims[i] + 1) for i in others))
         ]
-        blocks.append((len(masks), axes, weights, offsets, tsets))
+        # One list per line along the last varying axis (the cells that
+        # differ only there), in row-major order over the other axes: the
+        # base plus the fixed rank plus one rank per other varying axis.
+        last = axes[-1]
+        rank_of = dict(zip(axes, held))
+        radix = n_fixed
+        lines = [[len(masks)]]
+        for i in range(shape.d):
+            if i == last:
+                continue
+            if i in rank_of:
+                per = rank_of[i]
+            else:
+                radix //= dims[i]
+                per = [[x * radix] for x in range(dims[i])]
+            lines = [[k + q for k in ks for q in qs] for ks in lines for qs in per]
+        blocks.append((len(masks), axes, weights, offsets, tsets, held, lines))
         masks.extend([b << o for b in boxes for o in offsets])
     return EdgeTable(shape, tuple(masks), tuple(blocks))
 
@@ -354,15 +347,31 @@ def step_by_step(a: CellSet, params: Params, seed: Optional[int] = None) -> Step
     each step; with an integer seed the choice is uniform under a seeded
     generator. The terminal set never depends on the choices.
 
-    Each edge keeps its count of uninfected cells, and each cell has the
-    list of edges through it, in edge order. An edge with one uninfected
-    cell makes that cell infectable, and infecting a cell updates only the
-    edges on its list. An edge whose count drops to 1 can miss only that
-    cell until it is infected, so a cell's witness, the least such edge,
-    is kept as the counts drop.
+    Each edge keeps its count of uninfected cells. An edge with one
+    uninfected cell makes that cell infectable, and infecting a cell
+    updates only the edges through it. An edge whose count drops to 1 can
+    miss only that cell until it is infected, so a cell's witness, the
+    least such edge, is kept as the counts drop; the order in which a
+    cell's edges are visited cannot change it.
+
+    The edges through the infected cell are computed from the block
+    layout: in each block, the base plus the cell's fixed rank plus one
+    weighted t-set rank per varying axis, taken over the t-sets that hold
+    the cell's coordinate there. The block's `lines` hold these sums over
+    every axis but the last varying one, so a cell's edges are its line's
+    entries plus, in turn, each rank of its coordinate on that axis.
     """
     table = _edge_table(a.shape, params)
-    masks, through = table.masks, table.through
+    masks = table.masks
+    dims = a.shape.dims
+    strides = row_strides(dims)
+    # Per block: its lines; the strides that drop a cell's coordinate on
+    # the last varying axis from its linear index (giving its line) and
+    # pick it out; and that axis's ranks per coordinate.
+    layout = []
+    for _, axes, _, _, _, held, lines in table.blocks:
+        i = axes[-1]
+        layout.append((lines, strides[i] * dims[i], strides[i], dims[i], held[-1]))
     rng = random.Random(seed) if seed is not None else None
     inv = ~a.bits
     missing = [(m & inv).bit_count() for m in masks]
@@ -379,16 +388,20 @@ def step_by_step(a: CellSet, params: Params, seed: Optional[int] = None) -> Step
         del candidates[bisect_left(candidates, idx)]
         steps.append((unchecked_vertex(a.shape, idx), table.edge(witness.pop(idx))))
         inv ^= 1 << idx
-        for k in through[idx]:
-            missing[k] -= 1
-            if missing[k] == 1:
-                c = (masks[k] & inv).bit_length() - 1
-                w = witness.get(c)
-                if w is None:
-                    witness[c] = k
-                    insort(candidates, c)
-                elif k < w:
-                    witness[c] = k
+        for lines, outer, inner, n, held in layout:
+            ranks = held[idx // inner % n]
+            for k0 in lines[idx // outer * inner + idx % inner]:
+                for q in ranks:
+                    k = k0 + q
+                    missing[k] -= 1
+                    if missing[k] == 1:
+                        c = (masks[k] & inv).bit_length() - 1
+                        w = witness.get(c)
+                        if w is None:
+                            witness[c] = k
+                            insort(candidates, c)
+                        elif k < w:
+                            witness[c] = k
     return StepTrace(a, tuple(steps))
 
 

@@ -374,3 +374,65 @@ def test_parser_is_built_once_and_carries_nothing_between_calls(tmp_path, capsys
     # The unseeded trace differs from the seeded one, so a seed left over
     # from the call before would show.
     assert shared[3][1] != shared[5][1]
+
+
+def test_percolate_rejects_flags_it_would_ignore(tmp_path, capsys):
+    # --seed only orders steps and --render-output only places a rendering;
+    # without --steps or --render they would be dropped without a word.
+    path = write_instance(tmp_path)
+    art = tmp_path / "art.txt"
+    for argv, needs in (
+        (["--seed", "3"], "--steps"),
+        (["--render-output", str(art)], "--render"),
+        (["--render-output", str(art), "--steps", "--seed", "1"], "--render"),
+    ):
+        rc, out, err = run(capsys, "percolate", "--input", str(path), *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and needs in err and err.count("\n") == 1
+    assert not art.exists()
+
+
+PARSER_CASES = [
+    *([name, "-h"] for name in cli._COMMANDS),
+    ["-h"],
+    [],
+    ["bogus"],
+    ["--"],
+    ["check", "--bogus"],
+    ["check", "extra"],
+    ["search", "--shape", "3,3", "--t", "2"],
+    ["render", "--format", "png"],
+    ["reach", "--goal", "nowhere"],
+]
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+def test_one_command_parser_matches_the_full_parser(columns, capsys, monkeypatch):
+    # main builds only the invoked command's subparser; help, usage and
+    # error text must be what the parser with every subcommand prints.
+    monkeypatch.setenv("COLUMNS", columns)
+
+    def outcomes():
+        got = []
+        for argv in PARSER_CASES:
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            got.append((argv, rc, *capsys.readouterr()))
+        return got
+
+    one = outcomes()
+    full = cli.build_parser.__wrapped__
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert one == outcomes()
+    assert all(rc in (0, 2) and (out or err) for _, rc, out, err in one)
+    # The full parser keeps argparse's own name for the command argument.
+    assert "argument command: invalid choice: 'bogus'" in one[PARSER_CASES.index(["bogus"])][3]
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    # The console script calls main() with no arguments.
+    monkeypatch.setattr(sys, "argv", ["boxperc", "mvalue", "--shape", "5,5", "--t", "3", "--r", "2"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["total"] == 16

@@ -28,6 +28,7 @@ from boxperc.lattice import (
     edge_vertices,
     iter_bits,
     linear_index,
+    row_strides,
     vertex_at,
 )
 from boxperc.search import (
@@ -346,8 +347,17 @@ def assert_table_matches_reference(shape, params):
             table.edge(k)
     assert table.masks == tuple(masks)
     assert table.cells == naive_edge_cells(shape, edges)
-    assert table.through == mask_walk_through(shape, masks)
-    assert table.columns == [sum(1 << k for k in ks) for ks in table.through]
+    through = mask_walk_through(shape, masks)
+    assert table.columns == [sum(1 << k for k in ks) for ks in through]
+    # A cell's edges in a block are its line's entries plus each rank of
+    # its coordinate on the block's last varying axis, as step traces read.
+    strides = row_strides(shape.dims)
+    for cell, ks in enumerate(through):
+        got = []
+        for _, axes, _, _, _, held, lines in table.blocks:
+            s, n = strides[axes[-1]], shape.dims[axes[-1]]
+            got += [k + q for k in lines[cell // (s * n) * s + cell % s] for q in held[-1][cell // s % n]]
+        assert sorted(got) == ks
     assert all_edges(shape, params) == tuple(edges)
     assert tuple(sorted(all_edges(shape, params), key=Edge.sort_key)) == tuple(edges)
 
@@ -394,6 +404,27 @@ def test_step_trace_matches_reference_on_l_sets():
         a = l_set(shape, params)
         for seed in (None, 0, 5):
             assert list(step_by_step(a, params, seed=seed).steps) == naive_step_by_step(a, params, seed)
+
+
+def test_cold_step_trace_keeps_nothing_but_its_witnesses(monkeypatch):
+    # A step trace computes each infected cell's edges from the block
+    # layout: on a fresh table it leaves every attribute as it was, except
+    # the edge memo, which then holds exactly the witness edges.
+    for dims, t, r in (((6, 6), 2, 2), ((3, 4, 3), 2, 2), ((3, 3, 3), 2, 3), ((2, 3, 2, 3), 3, 2)):
+        shape, params = GridShape(dims), Params(t, r)
+        order = {e: k for k, e in enumerate(naive_edge_table(shape, params)[0])}
+        table = _edge_table.__wrapped__(shape, params)
+        monkeypatch.setattr(engine, "_edge_table", lambda *_: table)
+        before = dict(vars(table))
+        a = l_set(shape, params)
+        for seed in (None, 3):
+            trace = step_by_step(a, params, seed=seed)
+            after = dict(vars(table))
+            memo = after.pop("_memo")
+            assert after.keys() == before.keys() - {"_memo"}
+            assert all(after[name] is before[name] for name in after)
+            assert set(memo) == {order[e] for _, e in trace.steps}
+            table._memo.clear()
 
 
 def naive_infecting_edge(a, v, params):
