@@ -240,7 +240,9 @@ def _edge_table(shape: GridShape, params: Params) -> EdgeTable:
                 per = [[x * radix] for x in range(dims[i])]
             lines = [[k + q for k in ks for q in qs] for ks in lines for qs in per]
         blocks.append((len(masks), axes, weights, offsets, tsets, held, lines))
-        masks.extend([b << o for b in boxes for o in offsets])
+        # With no fixed axis the boxes are the masks: shifting each by 0
+        # would copy every one while the boxes are still held.
+        masks.extend(boxes if not others else [b << o for b in boxes for o in offsets])
     return EdgeTable(shape, tuple(masks), tuple(blocks))
 
 

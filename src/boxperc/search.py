@@ -20,15 +20,19 @@ lists. For every edge E and cell v of E, the candidates holding every
 other cell of E can infect v: the AND of those columns, ORed into v's
 column. Percolation repeats this in place until a sweep changes nothing;
 the column of each cell then holds the candidates whose closure contains
-it, and a candidate percolates when it is set in every column. One phase
-makes one such pass that reads only the start columns. The empty-slice
+it, and a candidate percolates when it is set in every column. Columns
+only grow, so a candidate set in every column after any sweep already
+percolates: the sweeps then go on over the candidates below the first
+such one alone, and stop at once when no live one is left there. One
+phase makes one pass that reads only the start columns. The empty-slice
 prune keeps the candidates set in some column of every row and column.
 
 The report is read off the block with popcounts: the witness is the first
 candidate that is live (not pruned) and meets the target, `checks` counts
 the live candidates up to it, and when the budget runs out first the
 search stops at the live candidate past it. So `examined`, `checks` and
-the witness are those of testing the candidates one by one in colex order.
+the witness are those of testing the candidates one by one in colex order,
+and every layer below the minimum is still tested in full.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import accumulate
 from math import comb
 from operator import and_
 from typing import Callable, Iterator, Optional
@@ -155,26 +160,41 @@ def _layer_blocks(n: int, k: int, memo: dict) -> Iterator[tuple[int, list[int]]]
         yield size, [*cols, *(ones if top >> c & 1 else 0 for c in range(m, n))]
 
 
-def _infect(src: list[int], dst: list[int], edges, ones: int) -> bool:
+def _infect(src: list[int], dst: list[int], edges) -> bool:
     """For every edge E and cell v of E, OR into dst[v] the AND of src over
     the other cells of E; True when some column of dst grew.
 
-    The other cells of E are a prefix and a suffix of its cell list, so
-    prefix ANDs and a running suffix AND cost O(|E|) per edge.
+    Each edge reads its columns from src once, before it writes any, so with
+    src is dst the edges act in turn on the columns the earlier ones left.
+    The other cells of E are a prefix and a suffix of its cell list: prefix
+    ANDs and a running suffix AND give all of them in 3|E| - 6 ANDs.
     """
     grew = False
     for cells in edges:
-        pre = [ones]
-        for c in cells:
-            pre.append(pre[-1] & src[c])
-        suf = ones
-        for i in range(len(cells) - 1, -1, -1):
+        xs = [src[c] for c in cells]
+        # pre[i]: the AND of xs[:i + 1].
+        pre = [*accumulate(xs[:-1], and_)]
+        c = cells[-1]
+        old = dst[c]
+        new = old | pre[-1]
+        if new != old:
+            dst[c] = new
+            grew = True
+        suf = xs[-1]
+        for i in range(len(cells) - 2, 0, -1):
             c = cells[i]
-            add = pre[i] & suf & ~dst[c]
-            suf &= src[c]
-            if add:
-                dst[c] |= add
+            old = dst[c]
+            new = old | pre[i - 1] & suf
+            if new != old:
+                dst[c] = new
                 grew = True
+            suf &= xs[i]
+        c = cells[0]
+        old = dst[c]
+        new = old | suf
+        if new != old:
+            dst[c] = new
+            grew = True
     return grew
 
 
@@ -225,6 +245,15 @@ def _min_size(
     budget: int,
     live: Optional[Callable[[list[int], int], int]],
 ) -> SearchReport:
+    """Search the layers in colex order, one block at a time.
+
+    `live(cols, ones)` gives the block's candidates that survive the prune
+    (None keeps them all). `hits(cols, want)` is called only with a nonzero
+    `want`, the live candidates that the budget reaches; the lowest set bit
+    of what it returns must be the first of them that meets the target, and
+    it returns 0 when none does. Its other bits are never read, so it may
+    stop once it knows the first.
+    """
     if mode != "exact":
         raise ValueError(f"unknown search mode {mode!r}")
     if budget < 0:
@@ -242,14 +271,12 @@ def _min_size(
             # candidate after them, or not in this block.
             room = budget - report.checks
             stop = _nth_bit(alive, room) if alive.bit_count() > room else size
-            # Only the candidates before the stop need the predicate.
-            if stop == size:
-                found = hits(cols, ones) & alive
-            elif stop:
+            # Only the live candidates before the stop need the predicate.
+            block, want = cols, alive
+            if stop < size:
                 lim = (1 << stop) - 1
-                found = hits([c & lim for c in cols], lim) & alive
-            else:
-                found = 0
+                block, want = [c & lim for c in cols], alive & lim
+            found = hits(block, want) if want else 0
             if found:
                 j = (found & -found).bit_length() - 1
                 report.examined[k] += j + 1
@@ -282,13 +309,24 @@ def min_percolating_size(
     check_compatible(shape, params)
     edges = _edge_table(shape, params).cells
 
-    def hits(cols: list[int], ones: int) -> int:
+    def hits(cols: list[int], want: int) -> int:
         # Infect in place until nothing grows: each column is then the
-        # candidates whose closure holds that cell.
+        # candidates whose closure holds that cell. Columns only grow, so a
+        # wanted candidate set in every column percolates. The lowest one
+        # is kept, and only the candidates below it go on.
         closed = list(cols)
-        while _infect(closed, closed, edges, ones):
-            pass
-        return reduce(and_, closed, ones)
+        first = 0
+        while True:
+            full = reduce(and_, closed, want)
+            if full:
+                first = full & -full
+                lim = first - 1
+                want &= lim
+                if not want:
+                    return first
+                closed = [c & lim for c in closed]
+            if not _infect(closed, closed, edges):
+                return first
 
     return _min_size(
         shape, params, "percolate", hits, mode, budget, _prune_empty_slice(shape, params)
@@ -305,10 +343,10 @@ def min_one_phase_size(
     check_compatible(shape, params)
     edges = _edge_table(shape, params).cells
 
-    def hits(cols: list[int], ones: int) -> int:
+    def hits(cols: list[int], want: int) -> int:
         phase = list(cols)
-        _infect(cols, phase, edges, ones)
-        return reduce(and_, phase, ones)
+        _infect(cols, phase, edges)
+        return reduce(and_, phase, want)
 
     return _min_size(shape, params, "one-phase", hits, mode, budget, None)
 

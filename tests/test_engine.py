@@ -493,6 +493,20 @@ def test_columns_build_peaks_near_their_final_size():
     assert peak - before <= 1.25 * (held - before)
 
 
+def test_mask_build_peaks_near_the_table_size():
+    # At 30x30 every block varies both axes, so its box products are the
+    # masks themselves and are not copied while they are held.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = _edge_table.__wrapped__(GridShape((30, 30)), P22)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.masks) == 435 * 435
+    assert peak - before <= 1.3 * (held - before)
+
+
 # Reference: the scalar closure core as it ran before the edge columns,
 # scanning every edge mask for the edges that miss exactly one cell.
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from itertools import combinations
 from unittest import mock
 
@@ -99,9 +100,9 @@ def test_budget_stop_limits_the_predicate_to_earlier_candidates():
     # Record the candidate mask each predicate call gets; nothing is a hit.
     calls = []
 
-    def hits(cols, ones):
-        assert all(col & ~ones == 0 for col in cols)
-        calls.append(ones)
+    def hits(cols, want):
+        assert all(col & ~want == 0 for col in cols)
+        calls.append(want)
         return 0
 
     shape = GridShape((3, 3))
@@ -293,6 +294,95 @@ def test_cached_columns_and_edge_cells_give_the_cold_report():
                     assert _fields(_search(*inst, b)) == expected[inst, b], (block, inst, b)
     with mock.patch.object(search, "BLOCK", 700):
         assert cold(*grids[3], budgets[1]) == expected[grids[3], budgets[1]]
+
+
+def naive_infect(src, dst, edges, width):
+    """`_infect` one candidate and one edge at a time: each edge reads its
+    cells' bits as they stand (in dst, when src is dst) and sets the one
+    cell it misses. Returns the new dst columns and whether any grew."""
+    out = list(dst)
+    for j in range(width):
+        got = [col >> j & 1 for col in dst]
+        read = got if src is dst else [col >> j & 1 for col in src]
+        for cells in edges:
+            have = [read[c] for c in cells]
+            for i, c in enumerate(cells):
+                if all(have[:i] + have[i + 1:]):
+                    got[c] = 1
+        for c, bit in enumerate(got):
+            out[c] |= bit << j
+    return out, out != dst
+
+
+@pytest.mark.parametrize("dims, t, r, size", [
+    ((2, 2, 2), 2, 1, 2), ((3, 3), 2, 2, 4), ((2, 2, 2), 2, 3, 8), ((3, 3), 3, 2, 9)])
+def test_infect_matches_a_candidate_by_candidate_reference(dims, t, r, size):
+    shape = GridShape(dims)
+    edges = _edge_table(shape, Params(t, r)).cells
+    assert {len(cells) for cells in edges} == {size}
+    n, width = cell_count(shape), 40
+    rng = random.Random(size)
+
+    def column(density):
+        return sum((rng.random() < density) << j for j in range(width))
+
+    # Every cell but c is held by every candidate, so c alone can grow: the
+    # flag must see it at the first, a middle and the last place of an edge.
+    full = (1 << width) - 1
+    for c in range(n):
+        src = [full] * n
+        src[c] = column(0.5)
+        got = list(src)
+        assert (got, search._infect(src, got, edges)) == naive_infect(src, src[:], edges, width)
+        assert got == [full] * n
+    for density in (0.5, 0.8, 0.95):
+        src = [column(density) for _ in range(n)]
+        # Separate lists: src is only read.
+        dst = [column(density) & col for col in src]
+        expected = naive_infect(src, dst, edges, width)
+        got = list(dst)
+        assert (got, search._infect(src, got, edges)) == expected
+        # In place, swept until nothing grows: the last sweep reports so.
+        while True:
+            expected = naive_infect(src, src, edges, width)
+            grew = search._infect(src, src, edges)
+            assert (src, grew) == expected
+            if not grew:
+                break
+
+
+def test_percolation_cut_matches_the_scalar_reference_across_blocks_and_budgets():
+    # The hit layers here need several sweeps, so candidates percolate
+    # after a sweep in the middle and the search cuts the block below them.
+    for dims, t in (((3, 4), 2), ((2, 2, 3), 2), ((3, 5), 2), ((2, 2, 4), 2), ((3, 3), 3)):
+        shape, params = GridShape(dims), Params(t, 2)
+        checks = scalar_min_size(shape, params, "percolate", search.DEFAULT_BUDGET).checks
+        for budget in (checks - 1, checks, checks + 1):
+            expected = _fields(scalar_min_size(shape, params, "percolate", budget))
+            for block in (search.BLOCK, 700, 64):
+                with mock.patch.object(search, "BLOCK", block):
+                    got = min_percolating_size(shape, params, budget=budget)
+                assert _fields(got) == expected, (dims, t, budget, block)
+
+
+def test_percolation_cut_fires_and_closes_the_candidates_below():
+    # Record the highest candidate left in the columns at each sweep. The
+    # hit layer of (2, 2, 3) is one block of C(12, 5) candidates; after its
+    # first sweep candidate 6 percolates, and the next sweep runs on the six
+    # candidates below it alone.
+    widths = []
+    infect = search._infect
+
+    def spy(src, dst, edges):
+        widths.append(max(src).bit_length())
+        return infect(src, dst, edges)
+
+    shape = GridShape((2, 2, 3))
+    with mock.patch.object(search, "_infect", spy):
+        got = min_percolating_size(shape, P22)
+    assert got.minimum == 5 and got.examined[5] == 7
+    assert widths[-2:] == [math.comb(12, 5), 6]
+    assert _fields(got) == _fields(scalar_min_size(shape, P22, "percolate", search.DEFAULT_BUDGET))
 
 
 def test_min_one_phase_values():
