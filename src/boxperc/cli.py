@@ -17,7 +17,7 @@ from . import engine, jsonio, render, search, transforms
 from .constructions import l_set, m_formula
 from .jsonio import InstanceError
 from .lattice import CellSet, GridShape, Params, check_compatible
-from .verify import SUITES, run_suite
+from .verify import SUITE_DEFAULTS, SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -101,11 +101,12 @@ def _reach_args(p: argparse.ArgumentParser) -> None:
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--seeds", type=int, default=200)
-    p.add_argument("--step-seeds", type=int, default=20)
-    p.add_argument("--seed", type=int, default=2026, help="base seed")
-    p.add_argument("--budget", type=int, default=10**7)
-    p.add_argument("--cap-n", type=int, default=4, help="axis cap for size sweeps")
+    d = SUITE_DEFAULTS
+    p.add_argument("--seeds", type=int, default=d["seeds"])
+    p.add_argument("--step-seeds", type=int, default=d["step_seeds"])
+    p.add_argument("--seed", type=int, default=d["seed_base"], help="base seed")
+    p.add_argument("--budget", type=int, default=d["budget"])
+    p.add_argument("--cap-n", type=int, default=d["n_cap"], help="axis cap for size sweeps")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--output", default="-")
 
@@ -156,14 +157,16 @@ def _cmd_percolate(args) -> int:
         _, trace = engine.full_form(a, params)
         doc = jsonio.phase_trace_to_json(trace, params)
         stages = list(trace.phases)
-    _write_output(args.output, jsonio.dumps(doc))
-    if args.render:
-        if args.render == "ascii":
-            picture = render.ascii_stages(
-                stages, "step" if args.steps else "phase", edges=edges
-            )
-        else:
-            picture = render.svg_stages(stages, edges=edges)
+    text = jsonio.dumps(doc)
+    # The picture is drawn before anything is written, so a grid it cannot
+    # draw leaves no output behind.
+    picture = None
+    if args.render == "ascii":
+        picture = render.ascii_stages(stages, "step" if args.steps else "phase", edges=edges)
+    elif args.render == "svg":
+        picture = render.svg_stages(stages, edges=edges)
+    _write_output(args.output, text)
+    if picture is not None:
         _write_output(args.render_output or "-", picture)
     return EXIT_OK
 
@@ -202,9 +205,7 @@ def _cmd_mvalue(args) -> int:
     check_compatible(shape, params)
     terms = m_formula(shape, params)
     doc = {
-        "shape": list(shape.dims),
-        "t": params.t,
-        "r": params.r,
+        **jsonio.header(shape, params),
         "terms_by_s": list(terms.per_order),
         "total": terms.total,
         "flagged_small_axes": terms.flagged,
@@ -280,13 +281,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    raw = _read_input(args.input)
-    import json as _json
-
-    try:
-        doc = _json.loads(raw)
-    except _json.JSONDecodeError as exc:
-        raise InstanceError(f"not valid JSON: {exc}") from exc
+    doc = jsonio.loads(_read_input(args.input))
     if isinstance(doc, dict) and ("phases" in doc or "steps" in doc):
         _, stages, kind, edges = jsonio.parse_trace(doc)
         highlight = edges if kind == "steps" else None

@@ -77,13 +77,23 @@ def _only(doc: dict, fields: tuple[str, ...], where: str) -> None:
         raise InstanceError(f"{where}: unknown field {unknown[0]!r}; expected {', '.join(fields)}")
 
 
+def loads(text: str) -> Any:
+    """Decode a JSON document; text that is not JSON is an InstanceError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"not valid JSON: {exc}") from exc
+
+
+def header(shape: GridShape, params: Params) -> dict:
+    """The {"shape", "t", "r"} fields that open every document about a grid."""
+    return {"shape": list(shape.dims), "t": params.t, "r": params.r}
+
+
 def parse_instance(doc: str | dict) -> tuple[CellSet, Params]:
     """Parse and validate an instance document (JSON text or dict)."""
     if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"not valid JSON: {exc}") from exc
+        doc = loads(doc)
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
     _only(doc, ("shape", "t", "r", "cells"), "instance")
@@ -102,12 +112,7 @@ def parse_instance(doc: str | dict) -> tuple[CellSet, Params]:
 
 
 def instance_to_json(a: CellSet, params: Params) -> dict:
-    return {
-        "shape": list(a.shape.dims),
-        "t": params.t,
-        "r": params.r,
-        "cells": [list(v) for v in a.cells()],
-    }
+    return {**header(a.shape, params), "cells": [list(v) for v in a.cells()]}
 
 
 def edge_to_json(edge: Edge) -> dict:
@@ -169,21 +174,15 @@ def edge_from_json(obj: dict, d: int) -> Edge:
 
 
 def phase_trace_to_json(trace: PhaseTrace, params: Params) -> dict:
-    shape = trace.phases[0].shape
     return {
-        "shape": list(shape.dims),
-        "t": params.t,
-        "r": params.r,
+        **header(trace.phases[0].shape, params),
         "phases": [[list(v) for v in a.cells()] for a in trace.phases],
     }
 
 
 def step_trace_to_json(trace: StepTrace, params: Params) -> dict:
-    shape = trace.start.shape
     return {
-        "shape": list(shape.dims),
-        "t": params.t,
-        "r": params.r,
+        **header(trace.start.shape, params),
         "start": [list(v) for v in trace.start.cells()],
         "steps": [
             {"v": list(v), "edge": edge_to_json(e)} for v, e in trace.steps
@@ -210,9 +209,7 @@ def decomposition_to_json(d: PRowDecomposition) -> dict:
 
 def search_report_to_json(report: SearchReport) -> dict:
     return {
-        "shape": list(report.shape.dims),
-        "t": report.params.t,
-        "r": report.params.r,
+        **header(report.shape, report.params),
         "target": report.target,
         "minimum": report.minimum,
         "witness": None
@@ -270,10 +267,7 @@ def parse_trace(doc: str | dict) -> tuple[Params, list[CellSet], str, list[Edge]
     its edge missing from the stage before it.
     """
     if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"not valid JSON: {exc}") from exc
+        doc = loads(doc)
     if not isinstance(doc, dict):
         raise InstanceError("trace document must be a JSON object")
     if "phases" in doc and "steps" in doc:

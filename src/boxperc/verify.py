@@ -12,9 +12,9 @@ closure_laws, formula_vs_oracle.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, product
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .constructions import l_set, l_set_cardinality, m_formula
 from .engine import (
@@ -36,7 +36,6 @@ from .lattice import (
     unchecked_vertex,
 )
 from .search import (
-    DEFAULT_BUDGET,
     SearchReport,
     min_one_phase_size,
     min_percolating_size,
@@ -72,6 +71,11 @@ class VerificationReport:
         status = "skip" if ok is None else ("pass" if ok else "fail")
         self.rows.append(VerificationRow(claim, instance, expected, observed, status))
 
+    def add_tally(self, claim: str, instance: str, violations: int, enough: bool = True) -> None:
+        """Row for a battery, which expects no violations; it fails too
+        when `enough` is False (a conditioned draw found too few sets)."""
+        self.add(claim, instance, 0, violations, violations == 0 and enough)
+
     def add_search(self, claim: str, instance: str, expected: int, res: SearchReport) -> None:
         """Row for a minimum search against its expected value; skipped when
         the search ran out of budget before it was exact."""
@@ -92,25 +96,12 @@ class VerificationReport:
     @property
     def exit_code(self) -> int:
         c = self.counts
-        if c["fail"]:
-            return 1
-        if c["skip"]:
-            return 3
-        return 0
+        return 1 if c["fail"] else 3 if c["skip"] else 0
 
     def to_json(self) -> dict:
         return {
             "suite": self.suite,
-            "rows": [
-                {
-                    "claim": r.claim,
-                    "instance": r.instance,
-                    "expected": r.expected,
-                    "observed": r.observed,
-                    "status": r.status,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "counts": self.counts,
             "pass": self.passed,
         }
@@ -130,7 +121,48 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Reusable batteries
+# Reusable batteries: a seeded draw of instances and a tally of the checks
+# run on them.
+
+
+def _tally(outcomes: Iterable[bool]) -> tuple[int, int]:
+    """(violations, checks) over a stream of check outcomes (True = held)."""
+    violations = checks = 0
+    for ok in outcomes:
+        checks += 1
+        violations += not ok
+    return violations, checks
+
+
+def _random_subsets(
+    shape: GridShape, seeds: int, seed_base: int
+) -> Iterator[tuple[random.Random, CellSet]]:
+    """A uniform random subset of the grid per seed, with the generator
+    that drew it (a battery may draw more from it)."""
+    n = cell_count(shape)
+    for k in range(seeds):
+        rng = random.Random(seed_base + k)
+        yield rng, CellSet(shape, rng.getrandbits(n))
+
+
+def _conditioned_draws(
+    sample: Callable[[int], CellSet],
+    keep: Callable[[CellSet], object],
+    want: int,
+    seed_base: int,
+) -> Iterator[tuple[CellSet, object]]:
+    """(set, keep(set)) for the first `want` sets `sample(seed)` over
+    consecutive seeds whose `keep` is truthy, trying at most 100 * want
+    seeds; fewer come out when the condition is rare."""
+    found = 0
+    for seed in range(seed_base, seed_base + 100 * want):
+        if found == want:
+            return
+        a = sample(seed)
+        kept = keep(a)
+        if kept:
+            found += 1
+            yield a, kept
 
 
 def union_battery(
@@ -138,20 +170,13 @@ def union_battery(
 ) -> tuple[int, int]:
     """(violations, unions checked): every pair of slices along every axis
     of a random percolating set still percolates after being merged."""
-    violations = 0
-    checked = 0
-    for k in range(seeds):
-        a = random_percolating_set(shape, params, seed_base + k)
-        for axis in range(1, shape.d + 1):
-            n = shape.dims[axis - 1]
-            if n < 2:
-                continue
-            for m1, m2 in combinations(range(1, n + 1), 2):
-                merged = union_slices(a, axis, m1, m2)
-                checked += 1
-                if not percolates(merged, params):
-                    violations += 1
-    return violations, checked
+    return _tally(
+        percolates(union_slices(a, axis, m1, m2), params)
+        for k in range(seeds)
+        for a in [random_percolating_set(shape, params, seed_base + k)]
+        for axis, n in enumerate(shape.dims, 1)
+        for m1, m2 in combinations(range(1, n + 1), 2)
+    )
 
 
 def removal_battery(
@@ -160,64 +185,39 @@ def removal_battery(
     """(violations, removals checked, sets found): random percolating sets
     conditioned to contain a row of exactly t-1 cells; removing any such
     row must preserve percolation."""
-    t = params.t
-    violations = 0
-    checked = 0
-    found = 0
-    seed = seed_base
-    attempts = 0
-    while found < seeds and attempts < 100 * seeds:
-        a = random_percolating_set(shape, params, seed)
-        seed += 1
-        attempts += 1
-        thin_rows = [
-            m
-            for m in range(1, shape.dims[0] + 1)
-            if len(slice_cells(a, 1, m)) == t - 1
-        ]
-        if not thin_rows:
-            continue
-        found += 1
-        for m in thin_rows:
-            checked += 1
-            if not percolates(remove_slice(a, 1, m), params):
-                violations += 1
-    return violations, checked, found
+    rows = range(1, shape.dims[0] + 1)
+    drawn = list(_conditioned_draws(
+        lambda seed: random_percolating_set(shape, params, seed),
+        lambda a: [m for m in rows if len(slice_cells(a, 1, m)) == params.t - 1],
+        seeds,
+        seed_base,
+    ))
+    bad, checked = _tally(
+        percolates(remove_slice(a, 1, m), params) for a, thin in drawn for m in thin
+    )
+    return bad, checked, len(drawn)
 
 
 def closure_laws_battery(
-    shape: GridShape,
-    params: Params,
-    seeds: int,
-    step_seeds: int,
-    seed_base: int,
+    shape: GridShape, params: Params, seeds: int, step_seeds: int, seed_base: int
 ) -> dict[str, int]:
     """Violation counts for extensivity, idempotence, monotonicity,
     order independence, and the phase-count bound on random subsets."""
     n = cell_count(shape)
-    out = {
-        "extensivity": 0,
-        "idempotence": 0,
-        "monotonicity": 0,
-        "order_independence": 0,
-        "phase_bound": 0,
-    }
-    for k in range(seeds):
-        rng = random.Random(seed_base + k)
-        a = CellSet(shape, rng.getrandbits(n))
+    out = dict.fromkeys(
+        ("extensivity", "idempotence", "monotonicity", "order_independence", "phase_bound"), 0
+    )
+    for k, (rng, a) in enumerate(_random_subsets(shape, seeds, seed_base)):
         closed, trace = full_form(a, params)
-        if not a.is_subset(closed):
-            out["extensivity"] += 1
-        if full_form(closed, params)[0] != closed:
-            out["idempotence"] += 1
         b = CellSet(shape, a.bits | rng.getrandbits(n))
-        if not closed.is_subset(full_form(b, params)[0]):
-            out["monotonicity"] += 1
-        if trace.f > n - len(a):
-            out["phase_bound"] += 1
-        for s in range(step_seeds):
-            if step_by_step(a, params, seed=seed_base + 7919 * s + k).terminal != closed:
-                out["order_independence"] += 1
+        out["extensivity"] += not a.is_subset(closed)
+        out["idempotence"] += full_form(closed, params)[0] != closed
+        out["monotonicity"] += not closed.is_subset(full_form(b, params)[0])
+        out["phase_bound"] += trace.f > n - len(a)
+        out["order_independence"] += sum(
+            step_by_step(a, params, seed=seed_base + 7919 * s + k).terminal != closed
+            for s in range(step_seeds)
+        )
     return out
 
 
@@ -226,42 +226,26 @@ def structure_battery(
 ) -> tuple[int, int]:
     """(violations, sets): closures of random 2D sets must decompose into
     pairwise-disjoint full rectangles."""
-    n = cell_count(shape)
-    violations = 0
-    for k in range(seeds):
-        rng = random.Random(seed_base + k)
-        a = CellSet(shape, rng.getrandbits(n))
-        closed, _ = full_form(a, params)
-        if rectangle_blocks(closed) is None:
-            violations += 1
-    return violations, seeds
+    return _tally(
+        rectangle_blocks(full_form(a, params)[0]) is not None
+        for _, a in _random_subsets(shape, seeds, seed_base)
+    )
 
 
 def shift_invariance_battery(
     shape: GridShape, params: Params, seeds: int, seed_base: int
 ) -> tuple[int, int]:
     """(violations, shifts checked): the closure must not change under any
-    applicable shift of a random subset."""
-    n = cell_count(shape)
-    violations = 0
-    checked = 0
+    applicable shift of a random subset: along each edge missing exactly
+    one cell, any of its present cells may move there."""
     table = _edge_table(shape, params)
-    cols = table.columns
-    for k in range(seeds):
-        rng = random.Random(seed_base + k)
-        a = CellSet(shape, rng.getrandbits(n))
-        closed, _ = full_form(a, params)
-        inv = ~a.bits
-        for j in iter_bits(_single_missing(a.bits, cols)):
-            m = table.masks[j]
-            miss = m & inv
-            e = table.edge(j)
-            for w in iter_bits(m & ~miss):
-                moved, _ = shift(a, e, unchecked_vertex(shape, w))
-                checked += 1
-                if full_form(moved, params)[0] != closed:
-                    violations += 1
-    return violations, checked
+    return _tally(
+        full_form(shift(a, table.edge(j), unchecked_vertex(shape, w))[0], params)[0] == closed
+        for _, a in _random_subsets(shape, seeds, seed_base)
+        for closed in [full_form(a, params)[0]]
+        for j in iter_bits(_single_missing(a.bits, table.columns))
+        for w in iter_bits(table.masks[j] & a.bits)
+    )
 
 
 def normal_form_battery(
@@ -272,20 +256,21 @@ def normal_form_battery(
     whose structural closure matches the engine closure."""
     params = Params(2, 2)
     n1, n2 = shape.dims
-    violations = 0
-    for k in range(seeds):
-        a = random_percolating_set(shape, params, seed_base + k)
+
+    def holds(a: CellSet) -> bool:
         stable, records = normalize_max_shifts(a, params)
-        ok = len(stable) == len(a)
-        ok = ok and all((1, j) in stable for j in range(1, n2 + 1))
-        ok = ok and all((i, 1) in stable for i in range(1, n1 + 1))
-        ok = ok and l_set(shape, params).is_subset(stable)
-        ok = ok and stable_full_form(stable) == full_form(stable, params)[0]
-        total = sum(sum(v) for v in a.cells())
-        ok = ok and len(records) <= total
-        if not ok:
-            violations += 1
-    return violations, seeds
+        return (
+            len(stable) == len(a)
+            and all((1, j) in stable for j in range(1, n2 + 1))
+            and all((i, 1) in stable for i in range(1, n1 + 1))
+            and l_set(shape, params).is_subset(stable)
+            and stable_full_form(stable) == full_form(stable, params)[0]
+            and len(records) <= sum(sum(v) for v in a.cells())
+        )
+
+    return _tally(
+        holds(random_percolating_set(shape, params, seed_base + k)) for k in range(seeds)
+    )
 
 
 def repack_battery(
@@ -296,48 +281,48 @@ def repack_battery(
     corner and check the three repack requirements: size preserved, at
     least t-1 cells kept in column 1, and one-phase after dropping it."""
     t = params.t
-    violations = 0
-    found = 0
-    seed = seed_base
-    attempts = 0
-    while found < want and attempts < 100 * want:
-        a = random_one_phase_set(shape, params, seed)
-        seed += 1
-        attempts += 1
-        if one_phase(remove_slice(a, 2, 1), params):
-            continue
-        found += 1
+
+    def holds(a: CellSet) -> bool:
         align = standardize_blocking_corner(a, params)
         if align is None:
-            violations += 1
-            continue
+            return False
         b = align.aligned
         star = repack_first_column(b, params)
-        ok = align.vertex == (t, t) and (t, t) not in b
-        ok = ok and len(star) == len(b)
-        ok = ok and len(slice_cells(star, 2, 1)) >= t - 1
-        ok = ok and one_phase(remove_slice(star, 2, 1), params)
-        if not ok:
-            violations += 1
-    return violations, found
+        return (
+            align.vertex == (t, t)
+            and (t, t) not in b
+            and len(star) == len(b)
+            and len(slice_cells(star, 2, 1)) >= t - 1
+            and one_phase(remove_slice(star, 2, 1), params)
+        )
+
+    return _tally(holds(a) for a, _ in _conditioned_draws(
+        lambda seed: random_one_phase_set(shape, params, seed),
+        lambda a: not one_phase(remove_slice(a, 2, 1), params),
+        want,
+        seed_base,
+    ))
 
 
 # ---------------------------------------------------------------------------
-# Suites
+# Suites. Each takes every option of SUITE_DEFAULTS by keyword and ignores
+# the ones it does not use.
+
+# The one set of suite defaults, read by run_suite and by the CLI.
+SUITE_DEFAULTS = {"seeds": 200, "step_seeds": 20, "seed_base": 2026, "budget": 10**7, "n_cap": 4}
 
 
-def suite_prop2_2(*, n_cap: int = 4, budget: int = DEFAULT_BUDGET, **_) -> VerificationReport:
+def suite_prop2_2(*, n_cap: int, budget: int, **_) -> VerificationReport:
     """Exact 2D minimum at t = r = 2 equals n1 + n2 - 1."""
     report = VerificationReport("prop2_2")
     params = Params(2, 2)
-    for n1 in range(2, n_cap + 1):
-        for n2 in range(2, n_cap + 1):
-            res = min_percolating_size(GridShape((n1, n2)), params, budget=budget)
-            report.add_search("2d-minimum", f"({n1},{n2}) t=2 r=2", n1 + n2 - 1, res)
+    for n1, n2 in product(range(2, n_cap + 1), repeat=2):
+        res = min_percolating_size(GridShape((n1, n2)), params, budget=budget)
+        report.add_search("2d-minimum", f"({n1},{n2}) t=2 r=2", n1 + n2 - 1, res)
     return report
 
 
-def suite_thm3_1(*, budget: int = DEFAULT_BUDGET, **_) -> VerificationReport:
+def suite_thm3_1(*, budget: int, **_) -> VerificationReport:
     """Exact minimum at t = r = 2 equals the axis sum minus (d - 1)."""
     report = VerificationReport("thm3_1")
     params = Params(2, 2)
@@ -347,9 +332,7 @@ def suite_thm3_1(*, budget: int = DEFAULT_BUDGET, **_) -> VerificationReport:
     return report
 
 
-def suite_thm2_7(
-    *, budget: int = DEFAULT_BUDGET, seeds: int = 60, seed_base: int = 2026, **_
-) -> VerificationReport:
+def suite_thm2_7(*, budget: int, seeds: int, seed_base: int, **_) -> VerificationReport:
     """One-phase minimum equals (n1+n2)(t-1) - (t-1)^2, and the repack
     construction satisfies its three requirements on random instances."""
     report = VerificationReport("thm2_7")
@@ -360,55 +343,42 @@ def suite_thm2_7(
         report.add_search("one-phase-minimum", f"{dims} t={t} r=2", expected, res)
     for dims, tt in (((4, 4), 2), ((4, 5), 3)):
         bad, found = repack_battery(GridShape(dims), Params(tt, 2), seeds, seed_base)
-        report.add(
-            "repack-requirements",
-            f"{dims} t={tt} r=2 x{found}",
-            0,
-            bad,
-            bad == 0 and found >= seeds,
+        report.add_tally(
+            "repack-requirements", f"{dims} t={tt} r=2 x{found}", bad, found >= seeds
         )
     return report
 
 
-def suite_lemma_union(
-    *, seeds: int = 200, seed_base: int = 2026, **_
-) -> VerificationReport:
+def suite_lemma_union(*, seeds: int, seed_base: int, **_) -> VerificationReport:
     """Merging any two slices of a percolating set keeps it percolating."""
     report = VerificationReport("lemma_union")
     for dims in ((4, 4), (3, 3, 3)):
         bad, checked = union_battery(GridShape(dims), Params(2, 2), seeds, seed_base)
-        report.add(
+        report.add_tally(
             "union-preserves-percolation",
             f"{dims} t=2 r=2 x{seeds} ({checked} unions)",
-            0,
             bad,
-            bad == 0,
         )
     return report
 
 
-def suite_prop_removal(
-    *, seeds: int = 200, seed_base: int = 2026, **_
-) -> VerificationReport:
+def suite_prop_removal(*, seeds: int, seed_base: int, **_) -> VerificationReport:
     """Dropping a row of exactly t-1 cells keeps a percolating set percolating."""
     report = VerificationReport("prop_removal")
     for t in (2, 3):
         bad, checked, found = removal_battery(
             GridShape((5, 5)), Params(t, 2), seeds, seed_base
         )
-        report.add(
+        report.add_tally(
             "thin-row-removal",
             f"(5,5) t={t} r=2 x{found} ({checked} removals)",
-            0,
             bad,
-            bad == 0 and found >= seeds,
+            found >= seeds,
         )
     return report
 
 
-def suite_prop4_4(
-    *, seeds: int = 200, seed_base: int = 2026, **_
-) -> VerificationReport:
+def suite_prop4_4(*, seeds: int, seed_base: int, **_) -> VerificationReport:
     """Shifts never change the closure; at t = r = 2 every normalized
     percolating set contains row 1 and column 1 entirely."""
     report = VerificationReport("prop4_4")
@@ -418,21 +388,15 @@ def suite_prop4_4(
         bad, checked = shift_invariance_battery(
             GridShape(dims), Params(t, 2), half, seed_base
         )
-        report.add(
-            "shift-invariance",
-            f"{dims} t={t} r=2 x{half} ({checked} shifts)",
-            0,
-            bad,
-            bad == 0,
+        report.add_tally(
+            "shift-invariance", f"{dims} t={t} r=2 x{half} ({checked} shifts)", bad
         )
     bad, n = normal_form_battery(GridShape((5, 5)), seeds, seed_base)
-    report.add("normal-form-rows", f"(5,5) t=2 r=2 x{n}", 0, bad, bad == 0)
+    report.add_tally("normal-form-rows", f"(5,5) t=2 r=2 x{n}", bad)
     return report
 
 
-def suite_closure_laws(
-    *, seeds: int = 200, step_seeds: int = 20, seed_base: int = 2026, **_
-) -> VerificationReport:
+def suite_closure_laws(*, seeds: int, step_seeds: int, seed_base: int, **_) -> VerificationReport:
     """Closure-operator laws, step order independence, 2D block structure."""
     report = VerificationReport("closure_laws")
     configs = (
@@ -445,29 +409,21 @@ def suite_closure_laws(
         out = closure_laws_battery(
             GridShape(dims), Params(t, r), seeds, step_seeds, seed_base
         )
-        bad = sum(out.values())
-        report.add(
+        report.add_tally(
             "closure-laws",
             f"{dims} t={t} r={r} x{seeds} ({step_seeds} step seeds)",
-            0,
-            bad,
-            bad == 0,
+            sum(out.values()),
         )
     bad, n = structure_battery(GridShape((5, 5)), Params(2, 2), seeds, seed_base)
-    report.add("closure-block-structure", f"(5,5) t=2 r=2 x{n}", 0, bad, bad == 0)
+    report.add_tally("closure-block-structure", f"(5,5) t=2 r=2 x{n}", bad)
     return report
 
 
-def suite_formula_vs_oracle(
-    *, budget: int = DEFAULT_BUDGET, **_
-) -> VerificationReport:
+def suite_formula_vs_oracle(*, budget: int, **_) -> VerificationReport:
     """Search minima agree with the closed form; the direct count of the L
     set agrees with the closed form on the whole small-parameter grid."""
     report = VerificationReport("formula_vs_oracle")
-    matrix = []
-    for n1 in range(1, 5):
-        for n2 in range(1, 5):
-            matrix.append(((n1, n2), 2, 2))
+    matrix = [((n1, n2), 2, 2) for n1, n2 in product(range(1, 5), repeat=2)]
     matrix += [((2, 2, 2), 2, 2), ((2, 2, 3), 2, 2), ((2, 2, 2), 2, 1), ((2, 2, 2), 2, 3)]
     for dims, t, r in matrix:
         res = min_percolating_size(GridShape(dims), Params(t, r), budget=budget)
@@ -477,17 +433,15 @@ def suite_formula_vs_oracle(
         res = min_one_phase_size(GridShape(dims), Params(3, 2), budget=budget)
         expected = (dims[0] + dims[1]) * 2 - 4
         report.add_search("one-phase-oracle-vs-bound", f"{dims} t=3 r=2", expected, res)
-    bad = 0
-    total = 0
-    for d in range(1, 5):
-        for t in range(2, 5):
-            for dims in product(range(t, 7), repeat=d):
-                for r in range(1, d + 1):
-                    total += 1
-                    shape, params = GridShape(dims), Params(t, r)
-                    if l_set_cardinality(shape, params) != m_formula(shape, params).total:
-                        bad += 1
-    report.add("l-set-count-vs-formula", f"d<=4 t<=4 n<=6 ({total} tuples)", 0, bad, bad == 0)
+    bad, total = _tally(
+        l_set_cardinality(shape, params) == m_formula(shape, params).total
+        for d in range(1, 5)
+        for t in range(2, 5)
+        for dims in product(range(t, 7), repeat=d)
+        for r in range(1, d + 1)
+        for shape, params in [(GridShape(dims), Params(t, r))]
+    )
+    report.add_tally("l-set-count-vs-formula", f"d<=4 t<=4 n<=6 ({total} tuples)", bad)
     return report
 
 
@@ -504,10 +458,12 @@ SUITES: dict[str, Callable[..., VerificationReport]] = {
 
 
 def run_suite(name: str, **kwargs) -> VerificationReport:
+    """Run suite `name`; each option of SUITE_DEFAULTS not given takes its default."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    opts = {**SUITE_DEFAULTS, **kwargs}
     # A count below its floor would check nothing and still report PASS.
     for key, least in (("seeds", 1), ("step_seeds", 1), ("n_cap", 2)):
-        if kwargs.get(key, least) < least:
-            raise ValueError(f"{key} must be at least {least}, got {kwargs[key]}")
-    return SUITES[name](**kwargs)
+        if opts[key] < least:
+            raise ValueError(f"{key} must be at least {least}, got {opts[key]}")
+    return SUITES[name](**opts)

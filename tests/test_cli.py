@@ -53,6 +53,21 @@ def test_percolate_steps_with_render(tmp_path, capsys):
     assert "step 1:" in art_file.read_text()
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "svg"])
+@pytest.mark.parametrize("steps", [[], ["--steps"]])
+def test_percolate_render_of_4d_grid_writes_nothing(tmp_path, capsys, fmt, steps):
+    path = write_instance(tmp_path, shape=[2, 2, 2, 2], cells=[[1, 1, 1, 1]])
+    out_file = tmp_path / "trace.json"
+    rc, out, err = run(
+        capsys, "percolate", "--input", str(path), *steps, "--render", fmt,
+        "--output", str(out_file),
+    )
+    assert (rc, out) == (2, "")
+    assert "at most 3 dimensions" in err
+    assert not out_file.exists()
+    rc, out, _ = run(capsys, "percolate", "--input", str(path), *steps, "--render", fmt)
+    assert (rc, out) == (2, "")
+
 def test_check(tmp_path, capsys):
     path = write_instance(tmp_path)
     rc, out, _ = run(capsys, "check", "--input", str(path))

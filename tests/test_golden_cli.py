@@ -57,6 +57,10 @@ CASES = {
     "verify_lemma_union": (["verify", "--suite", "lemma_union", "--json"], None, 0),
     "verify_prop_removal": (["verify", "--suite", "prop_removal", "--json"], None, 0),
     "verify_thm2_7": (["verify", "--suite", "thm2_7", "--json"], None, 0),
+    "verify_thm3_1": (["verify", "--suite", "thm3_1", "--json"], None, 0),
+    "verify_formula_vs_oracle": (["verify", "--suite", "formula_vs_oracle", "--json"], None, 0),
+    # The text report, with rows whose search ran out of budget.
+    "verify_prop2_2_budget_3": (["verify", "--suite", "prop2_2", "--budget", "3"], None, 3),
 }
 
 

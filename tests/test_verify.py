@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from boxperc import cli, jsonio
 from boxperc.engine import all_edges
 from boxperc.lattice import CellSet, GridShape, Params, cell_count, edge_vertices
 from boxperc.verify import SUITES, run_suite, shift_invariance_battery
@@ -58,3 +59,11 @@ def test_shift_invariance_battery_checks_every_shift(dims, t):
     bad, checked = shift_invariance_battery(shape, params, 12, 2026)
     assert bad == 0
     assert checked == naive_shift_count(shape, params, 12, 2026) > 0
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_library_and_cli_share_the_suite_defaults(name, capsys):
+    rc = cli.main(["verify", "--suite", name, "--json"])
+    report = run_suite(name)
+    assert capsys.readouterr().out == jsonio.dumps(report.to_json())
+    assert rc == report.exit_code
