@@ -94,10 +94,11 @@ class EdgeTable:
 
     The table stores `masks[k]`, the occupancy bitmask of edge k, and the
     block layout; everything else is derived from them. `edge(k)` decodes
-    edge k on first request. The per-edge cell lists (`cells`) and per-cell
-    edge columns (`columns`) are built on first use and kept. Step traces
-    compute the edges through a cell from the layout instead of keeping a
-    list per cell.
+    edge k on first request. The search kernel's units (`units`: per
+    r-flat and t-box F, the boxes {y} x F along the flat's longest varying
+    axis) and the per-cell edge columns (`columns`) are built from the
+    layout on first use and kept. Step traces compute the edges through a
+    cell from the layout instead of keeping a list per cell.
 
     The table is laid out in one block per choice of varying axes. Within a
     block, edge k sits at `base + (sum of pos[j] * weights[j]) + fixed`,
@@ -143,9 +144,38 @@ class EdgeTable:
         return e
 
     @cached_property
-    def cells(self) -> list[tuple[int, ...]]:
-        """For each edge, its cells (by linear index), ascending."""
-        return [tuple(iter_bits(m)) for m in self.masks]
+    def units(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The edges regrouped as the search kernel reads them: one unit per
+        r-flat (a block and its fixed coordinates) and t-box F, a t-set on
+        each varying axis but h, the block's longest varying axis (the
+        first of the longest). A unit lists the boxes {y} x F for y along h,
+        in order, each box its cells by linear index, ascending.
+
+        The edges of the flat that vary over F on the other axes are the
+        unions of the boxes {y} x F over the t-sets of y on h, so each edge
+        is such a union in exactly one unit. A set lacking cell v = (y, z),
+        z in F, therefore has an edge of the unit that infects v exactly
+        when it holds the rest of box y and all of box y' at t - 1 points
+        y' != y. The search counts full boxes without excluding box y,
+        which is harmless: a set holding all of box y holds v already. A
+        block with an axis shorter than t holds no edge and gives no unit.
+        """
+        dims = self.shape.dims
+        strides = row_strides(dims)
+        units = []
+        for _, axes, _, offsets, tsets, _, _ in self.blocks:
+            if not all(tsets):
+                continue
+            h = max(axes, key=dims.__getitem__)
+            boxes = [(0,)]
+            for i, ts in zip(axes, tsets):
+                if i != h:
+                    boxes = [tuple(o + (c - 1) * strides[i] for o in box for c in s)
+                             for box in boxes for s in ts]
+            line = [y * strides[h] for y in range(dims[h])]
+            units += [tuple(tuple(o + y + b for b in box) for y in line)
+                      for o in offsets for box in boxes]
+        return tuple(units)
 
     @cached_property
     def columns(self) -> list[int]:

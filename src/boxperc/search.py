@@ -15,17 +15,27 @@ with cell m - 1 added, so each column is an OR of shifted columns of
 smaller layers, and a layer too large for one block splits by the same
 rule into blocks that follow each other in colex order.
 
-The predicates become column arithmetic over the edge table's cell
-lists. For every edge E and cell v of E, the candidates holding every
-other cell of E can infect v: the AND of those columns, ORed into v's
-column. Percolation repeats this in place until a sweep changes nothing;
-the column of each cell then holds the candidates whose closure contains
-it, and a candidate percolates when it is set in every column. Columns
-only grow, so a candidate set in every column after any sweep already
-percolates: the sweeps then go on over the candidates below the first
-such one alone, and stop at once when no live one is left there. One
-phase makes one pass that reads only the start columns. The empty-slice
-prune keeps the candidates set in some column of every row and column.
+The predicates become column arithmetic over the edge table's units
+(`EdgeTable.units`). An edge lies in one r-flat and is a product of
+t-sets, so it is the union of the boxes {y} x F over a t-set of points y
+on the flat's longest varying axis h, with F a product of t-sets on its
+other varying axes. A candidate missing cell v = (y, z), z in F, has an
+infecting edge of this form exactly when it holds the rest of v's box
+and the whole box {y'} x F at t - 1 points y' of h other than y. Counting
+y' = y as well is harmless: a candidate holding all of box y holds v
+already, so ORing into v's column changes nothing. Per (flat, F) unit the
+kernel therefore ANDs each box's columns, keeps the candidates with at
+least t - 1 full boxes (an OR at t = 2), and ORs them, ANDed with the
+rest of each cell's box, into the cell's column: the work goes with the
+n_h boxes of a unit, not with its C(n_h, t) edges. Percolation repeats
+this in place until a sweep changes nothing; the column of each cell
+then holds the candidates whose closure contains it, and a candidate
+percolates when it is set in every column. Columns only grow, so a
+candidate set in every column after any sweep already percolates: the
+sweeps then go on over the candidates below the first such one alone,
+and stop at once when no live one is left there. One phase makes one
+pass that reads only the start columns. The empty-slice prune keeps the
+candidates set in some column of every row and column.
 
 The report is read off the block with popcounts: the witness is the first
 candidate that is live (not pruned) and meets the target, `checks` counts
@@ -43,7 +53,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import accumulate
 from math import comb
-from operator import and_
+from operator import and_, or_
 from typing import Callable, Iterator, Optional
 
 from .constructions import l_set
@@ -160,42 +170,68 @@ def _layer_blocks(n: int, k: int, memo: dict) -> Iterator[tuple[int, list[int]]]
         yield size, [*cols, *(ones if top >> c & 1 else 0 for c in range(m, n))]
 
 
-def _infect(src: list[int], dst: list[int], edges) -> bool:
-    """For every edge E and cell v of E, OR into dst[v] the AND of src over
-    the other cells of E; True when some column of dst grew.
+def _infect(src: list[int], dst: list[int], units, t: int) -> bool:
+    """One sweep of the edge table's units (`EdgeTable.units`, edges of
+    parameter t) over the candidate columns: OR into dst each cell that an
+    edge infects from src; True when some column of dst grew. dst must hold
+    src, column by column.
 
-    Each edge reads its columns from src once, before it writes any, so with
-    src is dst the edges act in turn on the columns the earlier ones left.
-    The other cells of E are a prefix and a suffix of its cell list: prefix
-    ANDs and a running suffix AND give all of them in 3|E| - 6 ANDs.
+    A unit is an r-flat with a t-box F on its varying axes but h, given as
+    the boxes {y} x F along h. Per unit, `full` is the AND over each box,
+    and `u` the candidates with at least t - 1 full boxes: an OR at t = 2,
+    a saturating count in t - 1 bit-sliced thresholds above. Each cell then
+    gains `u` ANDed with the rest of its box. That is exactly what the
+    unit's edges infect: the candidates that `u` counts with the cell's own
+    box full hold the cell already.
+
+    Each unit reads its columns from src once, before it writes any, so
+    with src is dst the units act in turn on the columns the earlier ones
+    left: a sweep then covers at least one phase, and repeated sweeps reach
+    the closure. A one-cell box (r = 1) and a two-cell box take
+    straight-line code; a larger box takes prefix ANDs and a running
+    suffix AND from `u`.
     """
-    grew = False
-    for cells in edges:
-        xs = [src[c] for c in cells]
-        # pre[i]: the AND of xs[:i + 1].
-        pre = [*accumulate(xs[:-1], and_)]
-        c = cells[-1]
-        old = dst[c]
-        new = old | pre[-1]
-        if new != old:
-            dst[c] = new
-            grew = True
-        suf = xs[-1]
-        for i in range(len(cells) - 2, 0, -1):
-            c = cells[i]
-            old = dst[c]
-            new = old | pre[i - 1] & suf
-            if new != old:
-                dst[c] = new
-                grew = True
-            suf &= xs[i]
-        c = cells[0]
-        old = dst[c]
-        new = old | suf
-        if new != old:
-            dst[c] = new
-            grew = True
-    return grew
+    before = dst[:]
+    box = len(units[0][0]) if units else 0
+    for rows in units:
+        if box == 1:
+            full = [src[c] for c, in rows]
+        elif box == 2:
+            xss = [(src[a], src[b]) for a, b in rows]
+            full = [x & y for x, y in xss]
+        else:
+            xss = [[src[c] for c in row] for row in rows]
+            # pres[y][i]: the AND of box y's columns up to cell i.
+            pres = [[*accumulate(xs, and_)] for xs in xss]
+            full = [pre[-1] for pre in pres]
+        if t == 2:
+            u = reduce(or_, full)
+        else:
+            # at[i]: the candidates with more than i full boxes so far.
+            at = [0] * (t - 1)
+            for f in full:
+                for i in range(t - 2, 0, -1):
+                    at[i] |= at[i - 1] & f
+                at[0] |= f
+            u = at[-1]
+        if not u:
+            continue
+        if box == 1:
+            for c, in rows:
+                dst[c] |= u
+        elif box == 2:
+            for (a, b), (x, y) in zip(rows, xss):
+                dst[a] |= u & y
+                dst[b] |= u & x
+        else:
+            for row, xs, pre in zip(rows, xss, pres):
+                # suf: u ANDed with the columns of the cells after cell i.
+                suf = u
+                for i in range(box - 1, 0, -1):
+                    dst[row[i]] |= pre[i - 1] & suf
+                    suf &= xs[i]
+                dst[row[0]] |= suf
+    return dst != before
 
 
 def _prune_empty_slice(
@@ -307,7 +343,7 @@ def min_percolating_size(
 ) -> SearchReport:
     """Exact minimum size of a percolating set, by ascending enumeration."""
     check_compatible(shape, params)
-    edges = _edge_table(shape, params).cells
+    units = _edge_table(shape, params).units
 
     def hits(cols: list[int], want: int) -> int:
         # Infect in place until nothing grows: each column is then the
@@ -325,7 +361,7 @@ def min_percolating_size(
                 if not want:
                     return first
                 closed = [c & lim for c in closed]
-            if not _infect(closed, closed, edges):
+            if not _infect(closed, closed, units, params.t):
                 return first
 
     return _min_size(
@@ -341,11 +377,11 @@ def min_one_phase_size(
 ) -> SearchReport:
     """Exact minimum size of a set whose first phase already covers the grid."""
     check_compatible(shape, params)
-    edges = _edge_table(shape, params).cells
+    units = _edge_table(shape, params).units
 
     def hits(cols: list[int], want: int) -> int:
         phase = list(cols)
-        _infect(cols, phase, edges)
+        _infect(cols, phase, units, params.t)
         return reduce(and_, phase, want)
 
     return _min_size(shape, params, "one-phase", hits, mode, budget, None)

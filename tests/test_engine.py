@@ -322,8 +322,22 @@ def instances(draw, max_d=3, max_n=4, min_d=1):
     return shape, params
 
 
-def naive_edge_cells(shape, edges):
-    return [tuple(sorted(linear_index(shape, v) for v in product(*e.sets))) for e in edges]
+def assert_units_cover_the_masks(table, params):
+    """Each unit's boxes, one per point along its axis h, each t^(r-1)
+    cells ascending; their unions over every t-set of those points are the
+    edge masks, each exactly once. A unit holds at least one edge."""
+    got = []
+    for rows in table.units:
+        assert len(rows) >= params.t
+        assert all(list(row) == sorted(row) and len(row) == params.t ** (params.r - 1) for row in rows)
+        boxes = [sum(1 << c for c in row) for row in rows]
+        for points in combinations(boxes, params.t):
+            union = 0
+            for box in points:
+                assert not union & box
+                union |= box
+            got.append(union)
+    assert sorted(got) == sorted(table.masks)
 
 
 def mask_walk_through(shape, masks):
@@ -346,7 +360,7 @@ def assert_table_matches_reference(shape, params):
         with pytest.raises(IndexError):
             table.edge(k)
     assert table.masks == tuple(masks)
-    assert table.cells == naive_edge_cells(shape, edges)
+    assert_units_cover_the_masks(table, params)
     through = mask_walk_through(shape, masks)
     assert table.columns == [sum(1 << k for k in ks) for ks in through]
     # A cell's edges in a block are its line's entries plus each rank of
@@ -466,16 +480,20 @@ def test_shift_layer_builds_only_reported_edges():
     assert all(table.edge(k) is edges[k] for k in range(len(edges)))
 
 
-def test_edge_cells_are_the_mask_bits_and_searches_build_no_edges():
+def test_search_units_cover_the_masks_and_searches_build_no_edges():
     _edge_table.cache_clear()
-    shape = GridShape((3, 4))
-    table = _edge_table(shape, P22)
-    min_percolating_size(shape, P22)
-    min_one_phase_size(shape, P22)
-    assert not table._memo
-    cells = table.cells
-    assert cells is table.cells
-    assert cells == [tuple(iter_bits(m)) for m in table.masks]
+    for dims, params in (((3, 4), P22), ((2, 3, 3), Params(3, 2)), ((2, 4), Params(3, 1))):
+        shape = GridShape(dims)
+        table = _edge_table(shape, params)
+        min_percolating_size(shape, params)
+        min_one_phase_size(shape, params)
+        assert not table._memo
+        units = table.units
+        assert units is table.units
+        assert_units_cover_the_masks(table, params)
+    # h is the longest varying axis: at (3, 4) a unit is a t-set on the first
+    # axis and a box at each of the 4 points of the second.
+    assert [len(rows) for rows in _edge_table(GridShape((3, 4)), P22).units] == [4] * 3
 
 
 def test_columns_build_peaks_near_their_final_size():

@@ -1,11 +1,12 @@
 import dataclasses
 import math
 import random
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import and_
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxperc import search
@@ -23,6 +24,7 @@ from boxperc.lattice import (
     Params,
     cell_count,
     edge_vertices,
+    iter_bits,
     linear_index,
     slice_mask,
     vertex_at,
@@ -271,7 +273,7 @@ def test_search_matches_scalar_reference_with_the_prune_and_several_blocks():
 
 def test_cached_columns_and_edge_cells_give_the_cold_report():
     # Whole-layer columns are kept across searches, keyed by (cells, layer),
-    # and each grid's edge cell lists stay on its cached edge table. (4, 4)
+    # and each grid's kernel units stay on its cached edge table. (4, 4)
     # and (2, 2, 4) have the same cell count, so each runs on columns the
     # other left behind; BLOCK decides which layers split. No report may
     # differ from a search run with every cache empty.
@@ -296,8 +298,47 @@ def test_cached_columns_and_edge_cells_give_the_cold_report():
         assert cold(*grids[3], budgets[1]) == expected[grids[3], budgets[1]]
 
 
+def edge_infect(src, dst, edges):
+    """The search kernel as it was before the units: for every edge E and
+    cell v of E, OR into dst[v] the AND of src over the other cells of E;
+    True when some column of dst grew. Each edge reads its columns from src
+    once, before it writes any."""
+    grew = False
+    for cells in edges:
+        xs = [src[c] for c in cells]
+        # pre[i]: the AND of xs[:i + 1].
+        pre = [*accumulate(xs[:-1], and_)]
+        c = cells[-1]
+        old = dst[c]
+        new = old | pre[-1]
+        if new != old:
+            dst[c] = new
+            grew = True
+        suf = xs[-1]
+        for i in range(len(cells) - 2, 0, -1):
+            c = cells[i]
+            old = dst[c]
+            new = old | pre[i - 1] & suf
+            if new != old:
+                dst[c] = new
+                grew = True
+            suf &= xs[i]
+        c = cells[0]
+        old = dst[c]
+        new = old | suf
+        if new != old:
+            dst[c] = new
+            grew = True
+    return grew
+
+
+def edge_cells(shape, params):
+    """For each edge, its cells (by linear index), ascending."""
+    return [tuple(iter_bits(m)) for m in _edge_table(shape, params).masks]
+
+
 def naive_infect(src, dst, edges, width):
-    """`_infect` one candidate and one edge at a time: each edge reads its
+    """The kernel one candidate and one edge at a time: each edge reads its
     cells' bits as they stand (in dst, when src is dst) and sets the one
     cell it misses. Returns the new dst columns and whether any grew."""
     out = list(dst)
@@ -314,11 +355,19 @@ def naive_infect(src, dst, edges, width):
     return out, out != dst
 
 
+def naive_closure(cols, edges, width):
+    while True:
+        cols, grew = naive_infect(cols, cols, edges, width)
+        if not grew:
+            return cols
+
+
 @pytest.mark.parametrize("dims, t, r, size", [
     ((2, 2, 2), 2, 1, 2), ((3, 3), 2, 2, 4), ((2, 2, 2), 2, 3, 8), ((3, 3), 3, 2, 9)])
 def test_infect_matches_a_candidate_by_candidate_reference(dims, t, r, size):
     shape = GridShape(dims)
-    edges = _edge_table(shape, Params(t, r)).cells
+    units = _edge_table(shape, Params(t, r)).units
+    edges = edge_cells(shape, Params(t, r))
     assert {len(cells) for cells in edges} == {size}
     n, width = cell_count(shape), 40
     rng = random.Random(size)
@@ -326,29 +375,85 @@ def test_infect_matches_a_candidate_by_candidate_reference(dims, t, r, size):
     def column(density):
         return sum((rng.random() < density) << j for j in range(width))
 
-    # Every cell but c is held by every candidate, so c alone can grow: the
-    # flag must see it at the first, a middle and the last place of an edge.
+    def assert_sweeps_reach_the_closure(cols):
+        # In place, each sweep covers one phase from the columns it starts
+        # from and stays inside their closure; `grew` says whether a column
+        # changed, and the last sweep, which changes nothing, ends at the
+        # closure.
+        closure = naive_closure(cols, edges, width)
+        while True:
+            phase = naive_infect(cols, cols[:], edges, width)[0]
+            before = list(cols)
+            grew = search._infect(cols, cols, units, t)
+            assert grew == (cols != before)
+            assert all(p & ~c == 0 and c & ~f == 0 for p, c, f in zip(phase, cols, closure))
+            if not grew:
+                break
+        assert cols == closure
+
+    # Every cell but c is held by every candidate, so c alone can grow, and
+    # one sweep fills it.
     full = (1 << width) - 1
     for c in range(n):
         src = [full] * n
         src[c] = column(0.5)
         got = list(src)
-        assert (got, search._infect(src, got, edges)) == naive_infect(src, src[:], edges, width)
+        assert (got, search._infect(src, got, units, t)) == naive_infect(src, src[:], edges, width)
+        assert got == [full] * n
+        got = list(src)
+        assert search._infect(got, got, units, t) == (src[c] != full)
         assert got == [full] * n
     for density in (0.5, 0.8, 0.95):
         src = [column(density) for _ in range(n)]
-        # Separate lists: src is only read.
-        dst = [column(density) & col for col in src]
+        # Separate lists: src is only read, and dst holds it.
+        dst = [column(density) | col for col in src]
         expected = naive_infect(src, dst, edges, width)
         got = list(dst)
-        assert (got, search._infect(src, got, edges)) == expected
-        # In place, swept until nothing grows: the last sweep reports so.
-        while True:
-            expected = naive_infect(src, src, edges, width)
-            grew = search._infect(src, src, edges)
-            assert (src, grew) == expected
-            if not grew:
-                break
+        assert (got, search._infect(src, got, units, t)) == expected
+        assert_sweeps_reach_the_closure(src)
+
+
+@st.composite
+def kernel_instances(draw):
+    d = draw(st.integers(1, 4))
+    dims = tuple(draw(st.lists(st.integers(1, 5 if d <= 2 else 3), min_size=d, max_size=d)
+                      .filter(lambda ds: math.prod(ds) <= 36)))
+    return GridShape(dims), Params(draw(st.integers(2, 3)), draw(st.integers(1, d)))
+
+
+# Axes of length exactly t, axes shorter than t (they hold no edge), and
+# flats with fixed axes.
+@example((GridShape((2, 4)), Params(3, 1)), 0, 50, 2)
+@example((GridShape((2, 3, 3)), Params(3, 2)), 1, 70, 5)
+@example((GridShape((1, 4)), Params(2, 2)), 2, 50, 1)
+@example((GridShape((3, 3)), Params(3, 2)), 3, 80, 10)
+@example((GridShape((2, 2, 2, 2)), Params(2, 3)), 4, 70, 2)
+@settings(max_examples=300, deadline=None)
+@given(kernel_instances(), st.integers(0, 2**32), st.integers(20, 95), st.integers(0, 20))
+def test_infect_matches_the_edge_by_edge_kernel(inst, seed, percent, extra):
+    # 64-candidate blocks: one phase into a dst that holds src, and sweeps
+    # in place to the fixpoint, against the kernel the units replaced.
+    shape, params = inst
+    units = _edge_table(shape, params).units
+    edges = edge_cells(shape, params)
+    n, width = cell_count(shape), 64
+    rng = random.Random(seed)
+
+    def column(density):
+        return sum((rng.random() < density) << j for j in range(width))
+
+    src = [column(percent / 100) for _ in range(n)]
+    dst = [col | column(extra / 100) for col in src]
+    want = list(dst)
+    got = list(dst)
+    assert search._infect(src, got, units, params.t) == edge_infect(src, want, edges)
+    assert got == want
+    want, got = list(src), list(src)
+    while edge_infect(want, want, edges):
+        pass
+    while search._infect(got, got, units, params.t):
+        pass
+    assert got == want
 
 
 def test_percolation_cut_matches_the_scalar_reference_across_blocks_and_budgets():
@@ -373,9 +478,9 @@ def test_percolation_cut_fires_and_closes_the_candidates_below():
     widths = []
     infect = search._infect
 
-    def spy(src, dst, edges):
+    def spy(src, dst, units, t):
         widths.append(max(src).bit_length())
-        return infect(src, dst, edges)
+        return infect(src, dst, units, t)
 
     shape = GridShape((2, 2, 3))
     with mock.patch.object(search, "_infect", spy):
