@@ -14,14 +14,16 @@ row-major stride factors, shifted by the fixed coordinates, without
 visiting vertices one by one. The same layout gives each edge's index
 arithmetically, so the edge columns (`EdgeTable.columns`) are computed
 from it rather than read off the masks: the transpose of the masks, one
-int per cell, whose bit k is set when edge k holds the cell. Every search
-for infecting edges reads the columns of the missing cells only: the phase
-scans, closures and predicates here, and the shift moves of `transforms`,
-`search` and `verify`. ORing those columns into `once` and `twice`
-accumulators leaves the edges that miss exactly one cell in
+int per cell, whose bit k is set when edge k holds the cell. No module but
+this one reads the columns. The table's scan, `EdgeTable.single_missing`,
+ORs the columns of the missing cells into `once` and `twice`
+accumulators, leaving the edges that miss exactly one cell in
 `once & ~twice`, at a cost of O(missing cells) big-int operations whatever
-the edge count; an edge's mask then gives its missing cell and its maximal
-corner.
+the edge count; an edge's mask then gives its missing cell and its
+maximal corner. On that scan stand `EdgeTable.phases`, `percolates` and
+`one_phase`, and through them the phase scans, closures and predicates
+here, the samplers and shift search of `search`, and the shift moves of
+`transforms` and `verify`.
 `EdgeTable.edge(k)` is the one way from an edge index to its `Edge`: it
 decodes edge k's index sets from the layout on first request and hands
 the same object to every later caller. Witnesses (`infecting_edge`, step
@@ -92,13 +94,16 @@ class StepTrace:
 class EdgeTable:
     """Every hyperedge of one (shape, params) pair, in the documented order.
 
-    The table stores `masks[k]`, the occupancy bitmask of edge k, and the
-    block layout; everything else is derived from them. `edge(k)` decodes
-    edge k on first request. The search kernel's units (`units`: per
-    r-flat and t-box F, the boxes {y} x F along the flat's longest varying
-    axis) and the per-cell edge columns (`columns`) are built from the
-    layout on first use and kept. Step traces compute the edges through a
-    cell from the layout instead of keeping a list per cell.
+    The table stores `masks[k]`, the occupancy bitmask of edge k, the
+    block layout and `full`, the mask of every cell; everything else is
+    derived from them. The scalar scan over the edge columns lives here:
+    `single_missing`, `phases`, `percolates` and `one_phase`, each over a
+    set given as its cell bits. `edge(k)` decodes edge k on first request.
+    The search kernel's units (`units`: per r-flat and t-box F, the boxes
+    {y} x F along the flat's longest varying axis) and the per-cell edge
+    columns (`columns`) are built from the layout on first use and kept.
+    Step traces compute the edges through a cell from the layout instead
+    of keeping a list per cell.
 
     The table is laid out in one block per choice of varying axes. Within a
     block, edge k sits at `base + (sum of pos[j] * weights[j]) + fixed`,
@@ -121,6 +126,7 @@ class EdgeTable:
         self.shape = shape
         self.masks = masks
         self.blocks = blocks
+        self.full = (1 << cell_count(shape)) - 1
         self._memo: dict[int, Edge] = {}
 
     def edge(self, k: int) -> Edge:
@@ -142,6 +148,50 @@ class EdgeTable:
                 sets[i] = ts[rel // w % len(ts)]
             e = self._memo[k] = Edge(tuple(sets))
         return e
+
+    def single_missing(self, bits: int) -> int:
+        """The edges (bit k for edge k) with exactly one cell outside `bits`.
+
+        `once` collects the edges holding at least one of the missing cells
+        seen so far, and `twice` those holding at least two. The edges
+        through a cell are its column's bits, so an edge in `once & ~twice`
+        misses exactly one cell, and that cell is the missing cell whose
+        column holds the edge.
+        """
+        cols = self.columns
+        once = twice = 0
+        miss = ~bits & self.full
+        while miss:
+            low = miss & -miss
+            col = cols[low.bit_length() - 1]
+            twice |= once & col
+            once |= col
+            miss ^= low
+        return once & ~twice
+
+    def phases(self, bits: int) -> Iterator[int]:
+        """The phases after `bits`, each a strict superset of the one before,
+        up to the closure. A phase adds every missing cell that is the only
+        missing cell of some edge."""
+        cols = self.columns
+        while single := self.single_missing(bits):
+            miss = ~bits & self.full
+            while miss:
+                low = miss & -miss
+                if cols[low.bit_length() - 1] & single:
+                    bits |= low
+                miss ^= low
+            yield bits
+
+    def percolates(self, bits: int) -> bool:
+        """True when the closure of `bits`, its last phase, is every cell."""
+        for bits in self.phases(bits):
+            pass
+        return bits == self.full
+
+    def one_phase(self, bits: int) -> bool:
+        """True when the first phase after `bits` is every cell."""
+        return next(self.phases(bits), bits) == self.full
 
     @cached_property
     def units(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -282,49 +332,6 @@ def all_edges(shape: GridShape, params: Params) -> tuple[Edge, ...]:
     return tuple(map(table.edge, range(len(table.masks))))
 
 
-def _single_missing(bits: int, cols: list[int]) -> int:
-    """The edges (bit k for edge k) with exactly one cell outside `bits`;
-    `cols` holds one column per cell.
-
-    `once` collects the edges holding at least one of the missing cells
-    seen so far, and `twice` those holding at least two. The edges through
-    a cell are its column's bits, so an edge in `once & ~twice` misses
-    exactly one cell, and that cell is the missing cell whose column holds
-    the edge.
-    """
-    once = twice = 0
-    miss = ~bits & (1 << len(cols)) - 1
-    while miss:
-        low = miss & -miss
-        col = cols[low.bit_length() - 1]
-        twice |= once & col
-        once |= col
-        miss ^= low
-    return once & ~twice
-
-
-def _phases(bits: int, cols: list[int]) -> Iterator[int]:
-    """The phases after `bits`, each a strict superset of the one before,
-    up to the closure. A phase adds every missing cell that is the only
-    missing cell of some edge."""
-    full = (1 << len(cols)) - 1
-    while single := _single_missing(bits, cols):
-        miss = ~bits & full
-        while miss:
-            low = miss & -miss
-            if cols[low.bit_length() - 1] & single:
-                bits |= low
-            miss ^= low
-        yield bits
-
-
-def _closure_bits(bits: int, cols: list[int]) -> int:
-    """The closure of `bits`: its last phase."""
-    for bits in _phases(bits, cols):
-        pass
-    return bits
-
-
 def infecting_edge(a: CellSet, v, params: Params) -> Optional[Edge]:
     """The least edge whose only vertex outside `a` is v, or None.
 
@@ -348,28 +355,25 @@ def infecting_edge(a: CellSet, v, params: Params) -> Optional[Edge]:
 
 def phase_step(a: CellSet, params: Params) -> CellSet:
     """One synchronous round: add every vertex that has an infecting edge."""
-    cols = _edge_table(a.shape, params).columns
-    return CellSet(a.shape, next(_phases(a.bits, cols), a.bits))
+    return CellSet(a.shape, next(_edge_table(a.shape, params).phases(a.bits), a.bits))
 
 
 def full_form(a: CellSet, params: Params) -> tuple[CellSet, PhaseTrace]:
     """Iterate phases to the fixpoint; returns (closure, trace)."""
-    cols = _edge_table(a.shape, params).columns
-    phases = [a, *(CellSet(a.shape, bits) for bits in _phases(a.bits, cols))]
+    table = _edge_table(a.shape, params)
+    phases = [a, *(CellSet(a.shape, bits) for bits in table.phases(a.bits))]
     return phases[-1], PhaseTrace(tuple(phases))
 
 
 def percolates(a: CellSet, params: Params) -> bool:
     """True when the closure of `a` covers the whole grid."""
-    cols = _edge_table(a.shape, params).columns
-    return _closure_bits(a.bits, cols) == (1 << len(cols)) - 1
+    return _edge_table(a.shape, params).percolates(a.bits)
 
 
 def one_phase(a: CellSet, params: Params) -> bool:
     """True when a single phase already covers the grid: every vertex
     outside `a` has an infecting edge within `a` itself."""
-    cols = _edge_table(a.shape, params).columns
-    return next(_phases(a.bits, cols), a.bits) == (1 << len(cols)) - 1
+    return _edge_table(a.shape, params).one_phase(a.bits)
 
 
 def step_by_step(a: CellSet, params: Params, seed: Optional[int] = None) -> StepTrace:

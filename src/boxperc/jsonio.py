@@ -130,19 +130,26 @@ def edge_to_json(edge: Edge) -> dict:
 
 
 def _axis(key: str, d: int) -> int:
-    if not (key.isascii() and key.isdigit()) or not 1 <= int(key) <= d:
-        raise InstanceError(f"edge: axis {key!r} is not an integer in 1..{d}")
+    """An axis key, written exactly as the encoder writes it: "1", not "01"."""
+    if key not in map(str, range(1, d + 1)):
+        raise InstanceError(f"edge: axis {key!r} is not one of 1..{d} in plain decimal")
     return int(key)
+
+
+def _tset(value, key: str) -> tuple[int, ...]:
+    """A varying axis's index set, in any order; a repeated coordinate is
+    rejected, not merged."""
+    coords = _coords(value, f"edge: varying axis {key}")
+    if len(set(coords)) != len(coords):
+        raise InstanceError(f"edge: varying axis {key} repeats a coordinate in {list(coords)}")
+    return coords
 
 
 def edge_from_json(obj: dict, d: int) -> Edge:
     if not isinstance(obj, dict):
         raise InstanceError("edge must be a JSON object")
     _only(obj, ("axes", "varying", "fixed"), "edge")
-    varying = {
-        _axis(k, d): _coords(v, f"edge: varying axis {k}")
-        for k, v in _require(obj, "varying", dict, "edge").items()
-    }
+    varying = {_axis(k, d): _tset(v, k) for k, v in _require(obj, "varying", dict, "edge").items()}
     # `axes` is redundant; when present it must agree with `varying`.
     if "axes" in obj and _coords(obj["axes"], "edge: axes") != tuple(sorted(varying)):
         raise InstanceError(

@@ -22,6 +22,7 @@ is one call to it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -37,12 +38,13 @@ MAX_SHAPE_CELLS = 1 << 62
 
 @dataclass(frozen=True)
 class GridShape:
-    """Axis lengths (n1, ..., nd) of a box grid, all positive."""
+    """Axis lengths (n1, ..., nd) of a box grid, all positive integers: a
+    float or a string raises instead of being truncated or parsed."""
 
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(n) for n in self.dims)
+        dims = tuple(operator.index(n) for n in self.dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) == 0:
             raise ValueError("a grid needs at least one axis")
@@ -60,15 +62,16 @@ class GridShape:
 
 @dataclass(frozen=True)
 class Params:
-    """Infection parameters: edges vary along r axes with index sets of size t."""
+    """Infection parameters: edges vary along r axes with index sets of size
+    t. Both are integers; a float or a string raises."""
 
     t: int
     r: int
 
     def __post_init__(self) -> None:
-        if self.t < 2:
+        if operator.index(self.t) < 2:
             raise ValueError(f"t must be at least 2, got {self.t}")
-        if self.r < 1:
+        if operator.index(self.r) < 1:
             raise ValueError(f"r must be at least 1, got {self.r}")
 
 
@@ -101,8 +104,9 @@ def row_strides(dims: tuple[int, ...]) -> list[int]:
 
 
 def check_vertex(shape: GridShape, vertex: Iterable[int]) -> Vertex:
-    """Coerce to a tuple and verify 1-based bounds; returns the tuple."""
-    v = tuple(int(c) for c in vertex)
+    """Read as a tuple of integers and verify 1-based bounds; returns the
+    tuple. A float or a string coordinate raises."""
+    v = tuple(operator.index(c) for c in vertex)
     if len(v) != shape.d:
         raise ValueError(f"vertex {v} has {len(v)} coordinates, expected {shape.d}")
     for c, n in zip(v, shape.dims):
@@ -240,13 +244,14 @@ class Edge:
     """One hyperedge, stored as its per-axis index sets I1, ..., Id.
 
     The sets with more than one value are the varying axes; they must all
-    have the same size (that size is t, and their count is r).
+    have the same size (that size is t, and their count is r). Each set is
+    stored sorted and deduplicated; a float or a string value raises.
     """
 
     sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        norm = tuple(tuple(sorted({int(v) for v in s})) for s in self.sets)
+        norm = tuple(tuple(sorted({operator.index(v) for v in s})) for s in self.sets)
         object.__setattr__(self, "sets", norm)
         if len(norm) == 0:
             raise ValueError("an edge needs at least one axis")

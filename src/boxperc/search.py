@@ -57,18 +57,16 @@ from operator import and_, or_
 from typing import Callable, Iterator, Optional
 
 from .constructions import l_set
-from .engine import EdgeTable, _closure_bits, _edge_table, _phases, _single_missing
+from .engine import EdgeTable, _edge_table
 from .lattice import (
     CellSet,
     GridShape,
     Params,
     cell_count,
-    check_compatible,
     iter_bits,
     slice_mask,
-    unchecked_vertex,
 )
-from .transforms import ShiftRecord
+from .transforms import ShiftRecord, shift_record
 
 DEFAULT_BUDGET = 10**8
 # Candidates tested together: a column is an int of at most 4 KiB.
@@ -342,7 +340,6 @@ def min_percolating_size(
     budget: int = DEFAULT_BUDGET,
 ) -> SearchReport:
     """Exact minimum size of a percolating set, by ascending enumeration."""
-    check_compatible(shape, params)
     units = _edge_table(shape, params).units
 
     def hits(cols: list[int], want: int) -> int:
@@ -376,7 +373,6 @@ def min_one_phase_size(
     budget: int = DEFAULT_BUDGET,
 ) -> SearchReport:
     """Exact minimum size of a set whose first phase already covers the grid."""
-    check_compatible(shape, params)
     units = _edge_table(shape, params).units
 
     def hits(cols: list[int], want: int) -> int:
@@ -387,9 +383,7 @@ def min_one_phase_size(
     return _min_size(shape, params, "one-phase", hits, mode, budget, None)
 
 
-def _reverse_deletion(
-    shape: GridShape, params: Params, seed: int, keeps: Callable[[int], bool]
-) -> CellSet:
+def _reverse_deletion(shape: GridShape, seed: int, keeps: Callable[[int], bool]) -> CellSet:
     rng = random.Random(seed)
     n = cell_count(shape)
     order = list(range(n))
@@ -406,22 +400,12 @@ def random_percolating_set(shape: GridShape, params: Params, seed: int) -> CellS
     """Deletion-minimal percolating set: walk the cells in seeded random
     order, dropping each cell whose removal keeps the set percolating.
     Deterministic for a given seed."""
-    check_compatible(shape, params)
-    cols = _edge_table(shape, params).columns
-    full = (1 << cell_count(shape)) - 1
-    return _reverse_deletion(
-        shape, params, seed, lambda bits: _closure_bits(bits, cols) == full
-    )
+    return _reverse_deletion(shape, seed, _edge_table(shape, params).percolates)
 
 
 def random_one_phase_set(shape: GridShape, params: Params, seed: int) -> CellSet:
     """Deletion-minimal set that still covers the grid in a single phase."""
-    check_compatible(shape, params)
-    cols = _edge_table(shape, params).columns
-    full = (1 << cell_count(shape)) - 1
-    return _reverse_deletion(
-        shape, params, seed, lambda bits: next(_phases(bits, cols), bits) == full
-    )
+    return _reverse_deletion(shape, seed, _edge_table(shape, params).one_phase)
 
 
 @dataclass(frozen=True)
@@ -459,15 +443,14 @@ def shift_reach(
     if max_ops < 0 or max_states < 0:
         raise ValueError(f"max_ops and max_states must be >= 0, got {max_ops} and {max_states}")
     table = _edge_table(a.shape, params)
-    masks, cols = table.masks, table.columns
-    full = (1 << cell_count(a.shape)) - 1
-    if _closure_bits(a.bits, cols) != full:
+    masks = table.masks
+    if not table.percolates(a.bits):
         raise ValueError("shift_reach expects a percolating start set")
     if goal == "contains-l":
         lbits = l_set(a.shape, params).bits
         goal_fn = lambda bits: bits & lbits == lbits
     elif goal == "one-phase":
-        goal_fn = lambda bits: next(_phases(bits, cols), bits) == full
+        goal_fn = table.one_phase
     else:
         raise ValueError(f"unknown goal {goal!r}")
 
@@ -486,7 +469,7 @@ def shift_reach(
         for state in frontier:
             inv = ~state
             # Edges in ascending order, each missing exactly one cell.
-            for k in iter_bits(_single_missing(state, cols)):
+            for k in iter_bits(table.single_missing(state)):
                 m = masks[k]
                 miss = m & inv
                 # Evict members in ascending order; the maximal corner is
@@ -517,10 +500,5 @@ def _shift_chain(table: EdgeTable, parents: dict, state: int) -> tuple[ShiftReco
     chain = []
     while (link := parents[state]) is not None:
         state, k, vbit, wbit = link
-        chain.append(ShiftRecord(
-            table.edge(k),
-            unchecked_vertex(table.shape, vbit.bit_length() - 1),
-            unchecked_vertex(table.shape, wbit.bit_length() - 1),
-            maximal=wbit.bit_length() == table.masks[k].bit_length(),
-        ))
+        chain.append(shift_record(table, k, vbit.bit_length() - 1, wbit.bit_length() - 1))
     return tuple(reversed(chain))

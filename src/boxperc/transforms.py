@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import EdgeTable, _edge_table, _single_missing, infecting_edge, one_phase
+from .engine import EdgeTable, _edge_table, infecting_edge, one_phase, phase_step
 from .lattice import (
     CellSet,
     Edge,
@@ -41,6 +41,15 @@ class ShiftRecord:
     infected: Vertex
     removed: Vertex
     maximal: bool
+
+
+def shift_record(table: EdgeTable, k: int, v: int, w: int) -> ShiftRecord:
+    """The shift along edge k of `table` that infects cell v and evicts
+    cell w (linear indices). It is maximal when w is the edge's maximal
+    corner, its highest bit."""
+    return ShiftRecord(table.edge(k), unchecked_vertex(table.shape, v),
+                       unchecked_vertex(table.shape, w),
+                       maximal=w == table.masks[k].bit_length() - 1)
 
 
 @dataclass(frozen=True)
@@ -138,17 +147,14 @@ def standardize_blocking_corner(a: CellSet, params: Params) -> Optional[Blocking
         raise ValueError("input must percolate in one phase")
     t = params.t
     n1, n2 = a.shape.dims
-    a_minus = remove_slice(a, 2, 1)
-    blocked = None
-    for v in CellSet.full(a.shape).cells():
-        i, j = v
-        if j < 2 or v in a:
-            continue
-        if infecting_edge(a_minus, (i, j - 1), params) is None:
-            blocked = v
-            break
-    if blocked is None:
+    # A cell has an infecting edge exactly when the first phase adds it, so
+    # the blocked vertex is the first cell that one phase of `a` without
+    # column 1 leaves out, moved back past column 1.
+    left = phase_step(remove_slice(a, 2, 1), params).complement()
+    if not left:
         return None
+    i, j = left.cells()[0]
+    blocked = (i, j + 1)
     e0 = infecting_edge(a, blocked, params)
     assert e0 is not None  # one_phase guarantees an infecting edge
     rows, cols = set(e0.sets[0]), set(e0.sets[1])
@@ -204,10 +210,10 @@ def _nonstandard_candidates(bits: int, table: EdgeTable) -> list[tuple[int, int]
     An edge's maximal corner is its highest bit, and table order is edge
     sort order.
     """
-    cols, masks = table.columns, table.masks
+    masks = table.masks
     inv = ~bits
     out = []
-    for k in iter_bits(_single_missing(bits, cols)):
+    for k in iter_bits(table.single_missing(bits)):
         m = masks[k]
         top = (m & inv).bit_length()
         if top != m.bit_length():
@@ -240,12 +246,7 @@ def normalize_max_shifts(
         # and its corner is a member other than vidx.
         corner = table.masks[k].bit_length() - 1
         bits = (bits | 1 << vidx) & ~(1 << corner)
-        records.append(ShiftRecord(
-            table.edge(k),
-            unchecked_vertex(a.shape, vidx),
-            unchecked_vertex(a.shape, corner),
-            maximal=True,
-        ))
+        records.append(shift_record(table, k, vidx, corner))
 
 
 def p_row_decomposition(a: CellSet) -> PRowDecomposition:

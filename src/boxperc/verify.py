@@ -19,10 +19,10 @@ from typing import Callable, Iterable, Iterator, Optional
 from .constructions import l_set, l_set_cardinality, m_formula
 from .engine import (
     _edge_table,
-    _single_missing,
     full_form,
     one_phase,
     percolates,
+    phase_step,
     rectangle_blocks,
     step_by_step,
 )
@@ -243,7 +243,7 @@ def shift_invariance_battery(
         full_form(shift(a, table.edge(j), unchecked_vertex(shape, w))[0], params)[0] == closed
         for _, a in _random_subsets(shape, seeds, seed_base)
         for closed in [full_form(a, params)[0]]
-        for j in iter_bits(_single_missing(a.bits, table.columns))
+        for j in iter_bits(table.single_missing(a.bits))
         for w in iter_bits(table.masks[j] & a.bits)
     )
 
@@ -278,8 +278,10 @@ def repack_battery(
 ) -> tuple[int, int]:
     """(violations, qualifying instances): for one-phase sets whose first
     column cannot be dropped, relabel the blocked vertex to the (t, t)
-    corner and check the three repack requirements: size preserved, at
-    least t-1 cells kept in column 1, and one-phase after dropping it."""
+    corner, check that it is blocked there ([t] x [t] misses exactly
+    (t, t), and every infecting edge of (t, t) meets column 1), and check
+    the three repack requirements: size preserved, at least t-1 cells kept
+    in column 1, and one-phase after dropping it."""
     t = params.t
 
     def holds(a: CellSet) -> bool:
@@ -287,10 +289,11 @@ def repack_battery(
         if align is None:
             return False
         b = align.aligned
+        box = CellSet.from_cells(b.shape, product(range(1, t + 1), repeat=2))
         star = repack_first_column(b, params)
         return (
-            align.vertex == (t, t)
-            and (t, t) not in b
+            (box - b).cells() == [(t, t)]
+            and (t, t - 1) not in phase_step(remove_slice(b, 2, 1), params)
             and len(star) == len(b)
             and len(slice_cells(star, 2, 1)) >= t - 1
             and one_phase(remove_slice(star, 2, 1), params)

@@ -616,3 +616,34 @@ def test_scalar_core_matches_mask_scan_reference_on_l_sets():
         assert_core_matches_mask_scan(a, params)
         for idx in iter_bits(a.bits):
             assert_core_matches_mask_scan(CellSet(shape, a.bits ^ 1 << idx), params)
+
+
+def assert_table_scan_matches_mask_scan(a, params):
+    table = _edge_table(a.shape, params)
+    full = (1 << cell_count(a.shape)) - 1
+    single = table.single_missing(a.bits)
+    for k, m in enumerate(table.masks):
+        miss = m & ~a.bits
+        assert single >> k & 1 == (miss.bit_count() == 1)
+    assert single >> len(table.masks) == 0
+    assert list(table.phases(a.bits)) == mask_phases(a.bits, table.masks)
+    assert table.percolates(a.bits) == (mask_closure_bits(a.bits, table.masks, full) == full)
+    assert table.one_phase(a.bits) == (a.bits | mask_scan_additions(a.bits, table.masks) == full)
+
+
+@settings(max_examples=150, deadline=None)
+@given(closure_instances())
+def test_table_scan_matches_mask_scan_reference(inst):
+    # The edge table's scan methods, read directly: the edges missing one
+    # cell, the phases, and the two predicates.
+    a, t = inst
+    for r in range(1, a.shape.d + 1):
+        assert_table_scan_matches_mask_scan(a, Params(t, r))
+
+
+def test_table_scan_matches_mask_scan_reference_on_l_sets():
+    for dims, t, r in (((6, 6), 2, 2), ((5, 6), 3, 2), ((3, 3, 3), 2, 3)):
+        shape, params = GridShape(dims), Params(t, r)
+        a = l_set(shape, params)
+        for bits in (a.bits, *(a.bits ^ 1 << idx for idx in iter_bits(a.bits))):
+            assert_table_scan_matches_mask_scan(CellSet(shape, bits), params)

@@ -253,6 +253,8 @@ PHASES = {"shape": [2, 2], "t": 2, "r": 2, "phases": [[[1, 1], [1, 2], [2, 1]], 
 STEPS = {"shape": [2, 2], "t": 2, "r": 2, "start": [[1, 1], [1, 2], [2, 1]],
          "steps": [{"v": [2, 2], "edge": {"varying": {"1": [1, 2], "2": [1, 2]}}}]}
 SQUARE = {"axes": [1, 2], "varying": {"1": [1, 2], "2": [1, 2]}, "fixed": {}}
+LINE = {"shape": [2, 2], "t": 2, "r": 1, "start": [[1, 1]],
+        "steps": [{"v": [2, 1], "edge": {"varying": {"1": [1, 2]}, "fixed": {"2": 1}}}]}
 
 
 @pytest.mark.parametrize(
@@ -281,6 +283,15 @@ SQUARE = {"axes": [1, 2], "varying": {"1": [1, 2], "2": [1, 2]}, "fixed": {}}
         ({**STEPS, "steps": [{"v": [2, 2], "note": "x",
                               "edge": {**SQUARE, "axes": [7], "bogus": 1}}]}, "render",
          r"trace step: unknown field 'note'"),
+        # A repeated edge coordinate is an error, not merged away: this edge
+        # is not the square {1,2}x{1,2}.
+        ({**STEPS, "steps": [{"v": [2, 2], "edge": {"varying": {"1": [1, 1, 2], "2": [2, 1]}}}]},
+         "render", r"edge: varying axis 1 repeats a coordinate in \[1, 1, 2\]"),
+        # "01" is not axis 1, so it cannot stand beside "1" and silently win.
+        ({**STEPS, "steps": [{"v": [2, 2], "edge": {"varying": {"1": [1, 3], "01": [1, 2], "2": [1, 2]}}}]},
+         "render", r"edge: axis '01' is not one of 1..2 in plain decimal"),
+        ({**LINE, "steps": [{"v": [2, 1], "edge": {"varying": {"1": [1, 2]}, "fixed": {"02": 1}}}]},
+         "render", r"edge: axis '02' is not one of 1..2 in plain decimal"),
     ],
 )
 def test_documents_reject_duplicate_cells_and_unknown_fields(doc, command, message, capsys, monkeypatch):
@@ -295,7 +306,10 @@ def test_documents_reject_duplicate_cells_and_unknown_fields(doc, command, messa
 
 
 def test_documents_without_extra_fields_still_parse():
-    for doc in (PHASES, STEPS, {**STEPS, "steps": [{"v": [2, 2], "edge": SQUARE}]}):
+    # The order of an edge's coordinates is free, as for cells.
+    reversed_square = {"varying": {"2": [2, 1], "1": [2, 1]}}
+    for doc in (PHASES, STEPS, {**STEPS, "steps": [{"v": [2, 2], "edge": SQUARE}]},
+                {**STEPS, "steps": [{"v": [2, 2], "edge": reversed_square}]}, LINE):
         jsonio.parse_trace(doc)
     jsonio.parse_instance(INSTANCE)
     # A step trace may leave out its start (an empty set).

@@ -11,6 +11,7 @@ from boxperc.lattice import (
     Params,
     cell_count,
     check_compatible,
+    check_vertex,
     edge_mask,
     edge_vertices,
     edgesum,
@@ -59,6 +60,27 @@ def test_params_validation():
     check_compatible(GridShape((2, 2)), Params(2, 2))
     with pytest.raises(ValueError):
         check_compatible(GridShape((2, 2)), Params(2, 3))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GridShape((2.9, 3)),
+        lambda: GridShape(("3", "4")),
+        lambda: Params(2.5, 2),
+        lambda: Params(2, "2"),
+        lambda: Edge(((1.9, 2.5), (3,))),
+        lambda: Edge((("1", "2"), (3,))),
+        lambda: check_vertex(GridShape((3, 3)), (1.9, 1)),
+        lambda: CellSet.from_cells(GridShape((3, 3)), [(1.9, 1)]),
+        lambda: (2.5, 1) in CellSet.empty(GridShape((3, 3))),
+        lambda: ("2", 1) in CellSet.empty(GridShape((3, 3))),
+    ],
+)
+def test_constructors_reject_floats_and_strings(build):
+    # A float is not truncated and a string is not parsed: both raise.
+    with pytest.raises(TypeError):
+        build()
 
 
 shapes = st.lists(st.integers(1, 5), min_size=1, max_size=4).map(

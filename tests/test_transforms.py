@@ -1,10 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxperc.engine import all_edges, full_form, one_phase, percolates
+from boxperc.engine import all_edges, full_form, infecting_edge, one_phase, percolates, phase_step
 from boxperc.lattice import (
     CellSet,
     Edge,
@@ -126,8 +127,11 @@ def test_repack_requirements_on_blocked_instances():
             align = standardize_blocking_corner(a, params)
             assert align is not None
             b = align.aligned
-            assert align.vertex == (t, t)
-            assert (t, t) not in b
+            # [t] x [t] misses exactly (t, t) ...
+            box = CellSet.from_cells(shape, product(range(1, t + 1), repeat=2))
+            assert (box - b).cells() == [(t, t)]
+            # ... and every infecting edge of (t, t) meets column 1.
+            assert (t, t - 1) not in phase_step(remove_slice(b, 2, 1), params)
             assert one_phase(b, params)
             assert not one_phase(remove_slice(b, 2, 1), params)
             assert len(slice_cells(b, 2, 1)) >= t - 1
@@ -146,6 +150,40 @@ def test_standardize_returns_none_without_blocked_vertex():
         if one_phase(remove_slice(a, 2, 1), params):
             assert standardize_blocking_corner(a, params) is None
             break
+
+
+def per_cell_blocked_vertex(a, params):
+    """Reference: the blocked vertex as standardize_blocking_corner found it
+    before it read one phase step, by one infecting_edge call per cell."""
+    a_minus = remove_slice(a, 2, 1)
+    for v in CellSet.full(a.shape).cells():
+        i, j = v
+        if j >= 2 and v not in a and infecting_edge(a_minus, (i, j - 1), params) is None:
+            return v
+    return None
+
+
+def test_blocked_vertex_matches_per_cell_reference():
+    rng = random.Random(11)
+    outcomes = {True: 0, False: 0}
+    for dims in ((2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (5, 3)):
+        shape = GridShape(dims)
+        for params in (Params(2, 2), Params(3, 2)):
+            for seed in range(12):
+                a = random_one_phase_set(shape, params, seed)
+                # Supersets of a one-phase set are one-phase too, and often
+                # have no blocked vertex.
+                for b in (a, CellSet(shape, a.bits | rng.getrandbits(cell_count(shape)))):
+                    ref = per_cell_blocked_vertex(b, params)
+                    align = standardize_blocking_corner(b, params)
+                    outcomes[ref is None] += 1
+                    if ref is None:
+                        assert align is None
+                    else:
+                        # The blocked vertex is placed at (t, t).
+                        t = params.t
+                        assert (align.row_order[t - 1], align.col_order[t - 1]) == ref
+    assert min(outcomes.values()) >= 50
 
 
 def test_shift_preserves_size_and_closure():
