@@ -53,6 +53,27 @@ def _parse_shape(text: str) -> GridShape:
         raise InstanceError(f"bad shape {text!r}: {exc}") from exc
 
 
+def _grid(args) -> tuple[GridShape, Params]:
+    """The grid and parameters of `--shape`, `--t` and `--r`."""
+    shape, params = _parse_shape(args.shape), Params(args.t, args.r)
+    check_compatible(shape, params)
+    return shape, params
+
+
+def _picture(trace: engine.PhaseTrace | engine.StepTrace, fmt: str) -> str:
+    """A phase or step trace drawn in `fmt` ("ascii" or "svg"), one panel
+    per stage; a step's panel marks the edge that witnessed it."""
+    if isinstance(trace, engine.PhaseTrace):
+        stages, label, edges = list(trace.phases), "phase", None
+    else:
+        stages, label, edges = [trace.start], "step", [e for _, e in trace.steps]
+        for v, _ in trace.steps:
+            stages.append(stages[-1].with_cells([v]))
+    if fmt == "ascii":
+        return render.ascii_stages(stages, label, edges=edges)
+    return render.svg_stages(stages, edges=edges)
+
+
 def _instance_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", default="-", help="instance JSON file, or - for stdin")
     sub.add_argument("--output", default="-", help="output file, or - for stdout")
@@ -81,6 +102,7 @@ def _lset_args(p: argparse.ArgumentParser) -> None:
 def _search_args(p: argparse.ArgumentParser) -> None:
     _shape_args(p)
     p.add_argument("--target", choices=["percolate", "one-phase"], default="percolate")
+    # "exact" is the one mode; the option stays so `--mode exact` still parses.
     p.add_argument("--mode", choices=["exact"], default="exact")
     p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
     p.add_argument("--csv", default=None, help="append a summary row to this CSV file")
@@ -145,26 +167,16 @@ def _cmd_percolate(args) -> int:
     if args.render_output is not None and not args.render:
         raise ValueError("--render-output names the rendering's file; it needs --render")
     a, params = jsonio.parse_instance(_read_input(args.input))
-    edges = None
     if args.steps:
         trace = engine.step_by_step(a, params, seed=args.seed)
         doc = jsonio.step_trace_to_json(trace, params)
-        stages = [a]
-        for v, _ in trace.steps:
-            stages.append(stages[-1].with_cells([v]))
-        edges = [e for _, e in trace.steps]
     else:
         _, trace = engine.full_form(a, params)
         doc = jsonio.phase_trace_to_json(trace, params)
-        stages = list(trace.phases)
     text = jsonio.dumps(doc)
     # The picture is drawn before anything is written, so a grid it cannot
     # draw leaves no output behind.
-    picture = None
-    if args.render == "ascii":
-        picture = render.ascii_stages(stages, "step" if args.steps else "phase", edges=edges)
-    elif args.render == "svg":
-        picture = render.svg_stages(stages, edges=edges)
+    picture = _picture(trace, args.render) if args.render else None
     _write_output(args.output, text)
     if picture is not None:
         _write_output(args.render_output or "-", picture)
@@ -188,9 +200,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_lset(args) -> int:
-    shape = _parse_shape(args.shape)
-    params = Params(args.t, args.r)
-    check_compatible(shape, params)
+    shape, params = _grid(args)
     seed = l_set(shape, params)
     if args.format == "ascii":
         _write_output(args.output, render.ascii_grid(seed))
@@ -200,9 +210,7 @@ def _cmd_lset(args) -> int:
 
 
 def _cmd_mvalue(args) -> int:
-    shape = _parse_shape(args.shape)
-    params = Params(args.t, args.r)
-    check_compatible(shape, params)
+    shape, params = _grid(args)
     terms = m_formula(shape, params)
     doc = {
         **jsonio.header(shape, params),
@@ -215,15 +223,13 @@ def _cmd_mvalue(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    shape = _parse_shape(args.shape)
-    params = Params(args.t, args.r)
-    check_compatible(shape, params)
+    shape, params = _grid(args)
     run = (
         search.min_percolating_size
         if args.target == "percolate"
         else search.min_one_phase_size
     )
-    report = run(shape, params, mode=args.mode, budget=args.budget)
+    report = run(shape, params, budget=args.budget)
     _write_output(args.output, jsonio.dumps(jsonio.search_report_to_json(report)))
     if args.csv:
         path = Path(args.csv)
@@ -283,14 +289,7 @@ def _cmd_verify(args) -> int:
 def _cmd_render(args) -> int:
     doc = jsonio.loads(_read_input(args.input))
     if isinstance(doc, dict) and ("phases" in doc or "steps" in doc):
-        _, stages, kind, edges = jsonio.parse_trace(doc)
-        highlight = edges if kind == "steps" else None
-        if args.format == "ascii":
-            out = render.ascii_stages(
-                stages, "phase" if kind == "phases" else "step", edges=highlight
-            )
-        else:
-            out = render.svg_stages(stages, edges=highlight)
+        out = _picture(jsonio.parse_trace(doc)[1], args.format)
     else:
         a, _ = jsonio.parse_instance(doc)
         out = render.ascii_grid(a) if args.format == "ascii" else render.svg_grid(a)

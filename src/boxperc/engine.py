@@ -28,7 +28,9 @@ here, the samplers and shift search of `search`, and the shift moves of
 decodes edge k's index sets from the layout on first request and hands
 the same object to every later caller. Witnesses (`infecting_edge`, step
 traces, shift records) go through it, so an edge is built only when it is
-reported or `all_edges` asks for all of them. Step traces propagate
+reported or `all_edges` asks for all of them. Witnesses are found two
+ways. For a set, `infecting_edge` and the shift moves read the scan: the
+edges of `single_missing` through a cell. Step traces propagate
 missing counts: each edge keeps the number of its cells still uninfected,
 so one step touches only the edges through the cell it infects, and a
 cell's witness is recorded when an edge's count drops to one. Those edges
@@ -57,7 +59,6 @@ from .lattice import (
     cell_count,
     check_compatible,
     check_vertex,
-    iter_bits,
     linear_index,
     p_slice,
     row_strides,
@@ -336,21 +337,17 @@ def infecting_edge(a: CellSet, v, params: Params) -> Optional[Edge]:
     """The least edge whose only vertex outside `a` is v, or None.
 
     Least means first in the documented edge order (varying axes ascending,
-    then the varying value tuples, then the fixed coordinates). Only the
-    edges through v are tested, lowest index first. Raises if v is already
-    a member.
+    then the varying value tuples, then the fixed coordinates). The edges
+    missing one cell, `single_missing`, that pass through v are exactly
+    those whose missing cell is v. Raises if v is already a member.
     """
     v = check_vertex(a.shape, v)
     idx = linear_index(a.shape, v)
-    vbit = 1 << idx
-    if a.bits & vbit:
+    if a.bits >> idx & 1:
         raise ValueError(f"vertex {v} is already infected")
     table = _edge_table(a.shape, params)
-    masks, inv = table.masks, ~a.bits
-    for k in iter_bits(table.columns[idx]):
-        if masks[k] & inv == vbit:
-            return table.edge(k)
-    return None
+    found = table.single_missing(a.bits) & table.columns[idx]
+    return table.edge((found & -found).bit_length() - 1) if found else None
 
 
 def phase_step(a: CellSet, params: Params) -> CellSet:

@@ -8,6 +8,7 @@ rejected too.
 
 Trace files carry the declared "phases" / "steps" payloads plus the
 instance header fields (shape, t, r) so they can be rendered standalone.
+A JSON object that repeats a key is rejected wherever it appears.
 """
 
 from __future__ import annotations
@@ -77,10 +78,20 @@ def _only(doc: dict, fields: tuple[str, ...], where: str) -> None:
         raise InstanceError(f"{where}: unknown field {unknown[0]!r}; expected {', '.join(fields)}")
 
 
+def _object(pairs: list[tuple[str, Any]]) -> dict:
+    """A decoded JSON object whose keys are all distinct."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+        raise InstanceError(f"JSON object repeats the key {key!r}")
+    return obj
+
+
 def loads(text: str) -> Any:
-    """Decode a JSON document; text that is not JSON is an InstanceError."""
+    """Decode a JSON document; text that is not JSON, or that repeats a key
+    within one object, is an InstanceError."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"not valid JSON: {exc}") from exc
 
@@ -90,6 +101,18 @@ def header(shape: GridShape, params: Params) -> dict:
     return {"shape": list(shape.dims), "t": params.t, "r": params.r}
 
 
+def _grid(doc: dict, where: str) -> tuple[GridShape, Params]:
+    """The grid and parameters a document states in its shape, t and r."""
+    dims = _coords(_require(doc, "shape", list, where), f"{where}: shape")
+    t, r = (_require(doc, key, int, where) for key in ("t", "r"))
+    try:
+        shape, params = GridShape(dims), Params(t, r)
+        check_compatible(shape, params)
+    except (ValueError, TypeError) as exc:
+        raise InstanceError(f"invalid {where}: {exc}") from exc
+    return shape, params
+
+
 def parse_instance(doc: str | dict) -> tuple[CellSet, Params]:
     """Parse and validate an instance document (JSON text or dict)."""
     if isinstance(doc, str):
@@ -97,18 +120,12 @@ def parse_instance(doc: str | dict) -> tuple[CellSet, Params]:
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
     _only(doc, ("shape", "t", "r", "cells"), "instance")
-    dims = _coords(_require(doc, "shape", list, "instance"), "instance: shape")
-    t = _require(doc, "t", int, "instance")
-    r = _require(doc, "r", int, "instance")
+    shape, params = _grid(doc, "instance")
     cells = _cells(_require(doc, "cells", list, "instance"), "instance")
     try:
-        shape = GridShape(dims)
-        params = Params(t, r)
-        check_compatible(shape, params)
-        cellset = CellSet.from_cells(shape, cells)
+        return CellSet.from_cells(shape, cells), params
     except (ValueError, TypeError) as exc:
         raise InstanceError(f"invalid instance: {exc}") from exc
-    return cellset, params
 
 
 def instance_to_json(a: CellSet, params: Params) -> dict:
@@ -263,15 +280,15 @@ def reach_result_to_json(result: ReachResult) -> dict:
     }
 
 
-def parse_trace(doc: str | dict) -> tuple[Params, list[CellSet], str, list[Edge]]:
-    """Parse a phases or steps trace document into per-stage cell sets.
+def parse_trace(doc: str | dict) -> tuple[Params, PhaseTrace | StepTrace]:
+    """Parse a phases or steps trace document into the trace it records.
 
-    Returns (params, stages, kind, edges): stages[i] is the infected set
-    after stage i, kind is "phases" or "steps", and for step traces
-    edges[i] is the hyperedge witnessing step i + 1 (empty for phases).
-    Both kinds are replayed: each phase must be the phase step of the one
-    before and the last a fixpoint; each step must infect the one cell of
-    its edge missing from the stage before it.
+    Returns (params, trace): a PhaseTrace for a "phases" document and a
+    StepTrace for a "steps" one, the objects that `engine.full_form` and
+    `engine.step_by_step` return, so that `parse_trace(writer(trace,
+    params)) == (params, trace)`. Both kinds are replayed: each phase must
+    be the phase step of the one before and the last a fixpoint; each step
+    must infect the one cell of its edge missing from the stage before it.
     """
     if isinstance(doc, str):
         doc = loads(doc)
@@ -283,13 +300,8 @@ def parse_trace(doc: str | dict) -> tuple[Params, list[CellSet], str, list[Edge]
         _only(doc, ("shape", "t", "r", "phases"), "trace")
     elif "steps" in doc:
         _only(doc, ("shape", "t", "r", "start", "steps"), "trace")
-    dims = _coords(_require(doc, "shape", list, "trace"), "trace: shape")
-    t = _require(doc, "t", int, "trace")
-    r = _require(doc, "r", int, "trace")
+    shape, params = _grid(doc, "trace")
     try:
-        shape = GridShape(dims)
-        params = Params(t, r)
-        check_compatible(shape, params)
         if "phases" in doc:
             stages = [CellSet.from_cells(shape, _cells(cells, "trace: phase"))
                       for cells in _require(doc, "phases", list, "trace")]
@@ -307,11 +319,11 @@ def parse_trace(doc: str | dict) -> tuple[Params, list[CellSet], str, list[Edge]
                     )
                 elif step != stages[i + 1]:
                     raise InstanceError(f"trace: phase {i + 1} is not the phase step of phase {i}")
-            return params, stages, "phases", []
+            return params, PhaseTrace(tuple(stages))
         if "steps" in doc:
-            current = CellSet.from_cells(shape, _cells(doc.get("start", []), "trace: start"))
-            stages = [current]
-            edges = []
+            start = CellSet.from_cells(shape, _cells(doc.get("start", []), "trace: start"))
+            infected = start.bits
+            steps = []
             for i, step in enumerate(_require(doc, "steps", list, "trace"), start=1):
                 if not isinstance(step, dict):
                     raise InstanceError("trace: each step must be a JSON object")
@@ -320,17 +332,16 @@ def parse_trace(doc: str | dict) -> tuple[Params, list[CellSet], str, list[Edge]
                 edge = edge_from_json(_require(step, "edge", dict, "trace step"), shape.d)
                 validate_edge(edge, shape, params)
                 vbit = 1 << linear_index(shape, v)
-                if current.bits & vbit:
+                if infected & vbit:
                     raise InstanceError(f"trace: step {i} infects {list(v)}, already infected")
-                if edge_mask(edge, shape) & ~current.bits != vbit:
+                if edge_mask(edge, shape) & ~infected != vbit:
                     raise InstanceError(
                         f"trace: step {i} infects {list(v)}, which is not the one "
                         f"cell of its edge missing from the stage before it"
                     )
-                current = CellSet(shape, current.bits | vbit)
-                stages.append(current)
-                edges.append(edge)
-            return params, stages, "steps", edges
+                infected |= vbit
+                steps.append((v, edge))
+            return params, StepTrace(start, tuple(steps))
     except InstanceError:
         raise
     except (ValueError, TypeError) as exc:

@@ -275,7 +275,6 @@ def _min_size(
     params: Params,
     target: str,
     hits: Callable[[list[int], int], int],
-    mode: str,
     budget: int,
     live: Optional[Callable[[list[int], int], int]],
 ) -> SearchReport:
@@ -288,8 +287,6 @@ def _min_size(
     it returns 0 when none does. Its other bits are never read, so it may
     stop once it knows the first.
     """
-    if mode != "exact":
-        raise ValueError(f"unknown search mode {mode!r}")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     n = cell_count(shape)
@@ -336,7 +333,6 @@ def _min_size(
 def min_percolating_size(
     shape: GridShape,
     params: Params,
-    mode: str = "exact",
     budget: int = DEFAULT_BUDGET,
 ) -> SearchReport:
     """Exact minimum size of a percolating set, by ascending enumeration."""
@@ -362,14 +358,13 @@ def min_percolating_size(
                 return first
 
     return _min_size(
-        shape, params, "percolate", hits, mode, budget, _prune_empty_slice(shape, params)
+        shape, params, "percolate", hits, budget, _prune_empty_slice(shape, params)
     )
 
 
 def min_one_phase_size(
     shape: GridShape,
     params: Params,
-    mode: str = "exact",
     budget: int = DEFAULT_BUDGET,
 ) -> SearchReport:
     """Exact minimum size of a set whose first phase already covers the grid."""
@@ -380,7 +375,7 @@ def min_one_phase_size(
         _infect(cols, phase, units, params.t)
         return reduce(and_, phase, want)
 
-    return _min_size(shape, params, "one-phase", hits, mode, budget, None)
+    return _min_size(shape, params, "one-phase", hits, budget, None)
 
 
 def _reverse_deletion(shape: GridShape, seed: int, keeps: Callable[[int], bool]) -> CellSet:

@@ -137,12 +137,15 @@ def standardize_blocking_corner(a: CellSet, params: Params) -> Optional[Blocking
     """Permute rows and columns so that some vertex that can only be infected
     through column 1 sits at (t, t) with infecting edge [t] x [t].
 
-    Input must percolate in one phase. Returns None when removing column 1
+    Input must be a 2-dimensional set at r = 2 (the edges [t] x [t] it
+    aligns to) that percolates in one phase. Returns None when removing column 1
     leaves a one-phase set (no blocked vertex exists). Column 1 stays the
     first column under the relabelling.
     """
     if a.shape.d != 2:
         raise ValueError("needs a 2-dimensional set")
+    if params.r != 2:
+        raise ValueError(f"needs r = 2, got r = {params.r}")
     if not one_phase(a, params):
         raise ValueError("input must percolate in one phase")
     t = params.t

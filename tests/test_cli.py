@@ -297,6 +297,21 @@ def test_render_instance_and_trace(tmp_path, capsys):
     assert "phase 1:" in out and "#*" in out
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "svg"])
+@pytest.mark.parametrize("steps", [[], ["--steps"], ["--steps", "--seed", "5"]])
+@pytest.mark.parametrize("shape", ["4,5", "3,4,3"])
+def test_percolate_render_draws_what_render_draws_from_its_trace(shape, steps, fmt, tmp_path, capsys):
+    # The L set percolates, so every trace runs to the full grid.
+    _, inst, _ = run(capsys, "lset", "--shape", shape, "--t", "2", "--r", "2")
+    path, trace = tmp_path / "inst.json", tmp_path / "trace.json"
+    path.write_text(inst)
+    rc, picture, _ = run(capsys, "percolate", "--input", str(path), "--output", str(trace),
+                         *steps, "--render", fmt)
+    assert rc == 0 and picture
+    rc, again, _ = run(capsys, "render", "--input", str(trace), "--format", fmt)
+    assert rc == 0 and again == picture
+
+
 def test_invalid_inputs_exit_two(tmp_path, capsys):
     rc, _, err = run(capsys, "check", "--input", str(tmp_path / "missing.json"))
     assert rc == 2 and "not found" in err

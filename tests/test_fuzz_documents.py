@@ -3,10 +3,12 @@
 Valid instance, phase-trace and step-trace documents are generated, and
 each gets one mutation: a repeated edge coordinate or a "01"-style axis
 key, a float, bool or string value, a duplicate cell, an unknown field,
-an out-of-range coordinate, or a missing field. Each document must either
-parse and re-encode to the same cells and edges, or raise InstanceError;
-when it raises, the command line (`check` for instances, `render` for
-traces) must exit 2 with nothing on stdout and one `error:` line.
+an out-of-range coordinate, a missing field, or a key written twice in
+one JSON object. Each document must either parse and re-encode to the
+same cells and edges, or raise InstanceError; when it raises, the command
+line (`check` for instances, `render` for traces) must exit 2 with
+nothing on stdout and one `error:` line. A document that repeats a key
+must raise.
 """
 
 import io
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from boxperc import cli, jsonio
 from boxperc.engine import full_form, step_by_step
 from boxperc.jsonio import InstanceError
-from boxperc.lattice import CellSet, GridShape, Params, cell_count, unchecked_vertex
+from boxperc.lattice import CellSet, GridShape, Params, cell_count
 
 
 @st.composite
@@ -75,12 +77,17 @@ def _is_coordinate(path) -> bool:
     return any(key in ("cells", "phases", "start", "v", "varying", "fixed") for key in path)
 
 
-MUTATIONS = ("repeat", "axis_key", "type", "duplicate_cell", "unknown", "range", "missing")
+MUTATIONS = (
+    "repeat", "axis_key", "type", "duplicate_cell", "unknown", "range", "missing", "repeated_key"
+)
+# A key no document holds; the repeated-key mutation writes it and then
+# renames it in the JSON text, since a dict cannot hold one key twice.
+TWIN = "\x00twin"
 
 
 @st.composite
 def mutated_documents(draw):
-    """(kind, document) after one mutation of a valid document; a mutation
+    """(kind, JSON text) after one mutation of a valid document; a mutation
     with no place to act in the document (say, a repeated edge coordinate
     in an instance) leaves it as it is."""
     kind, doc = draw(valid_documents())
@@ -116,7 +123,12 @@ def mutated_documents(draw):
     elif mutation == "missing":
         path = draw(st.sampled_from([p + (key,) for p in dicts for key in _at(doc, p)]))
         del _at(doc, path[:-1])[path[-1]]
-    return kind, doc
+    elif mutation == "repeated_key":
+        obj = _at(doc, draw(st.sampled_from([p for p in dicts if _at(doc, p)])))
+        key = draw(st.sampled_from(sorted(obj)))
+        obj[TWIN] = obj[key]
+        return kind, json.dumps(doc).replace(json.dumps(TWIN), json.dumps(key))
+    return kind, json.dumps(doc)
 
 
 def _cell_list(cells):
@@ -138,23 +150,25 @@ def _content(kind, doc):
     return doc["shape"], doc["t"], doc["r"], _cell_list(doc.get("start", [])), steps
 
 
-def _reencode(kind, doc):
-    """Parse `doc` and encode what the parser read in the same format."""
+def _reencode(kind, text):
+    """Parse `text` and encode what the parser read in the same format."""
     if kind == "instance":
-        return jsonio.instance_to_json(*jsonio.parse_instance(doc))
-    params, stages, parsed, edges = jsonio.parse_trace(doc)
-    out = jsonio.header(stages[0].shape, params)
-    if parsed == "phases":
-        return {**out, "phases": [[list(v) for v in a.cells()] for a in stages]}
-    added = [(b.bits & ~a.bits).bit_length() - 1 for a, b in zip(stages, stages[1:])]
-    return {**out, "start": [list(v) for v in stages[0].cells()], "steps": [
-        {"v": list(unchecked_vertex(a.shape, idx)), "edge": jsonio.edge_to_json(e)}
-        for a, idx, e in zip(stages, added, edges)]}
+        return jsonio.instance_to_json(*jsonio.parse_instance(text))
+    params, trace = jsonio.parse_trace(text)
+    write = jsonio.phase_trace_to_json if kind == "phases" else jsonio.step_trace_to_json
+    return write(trace, params)
 
 
-def _cli(command, doc):
+def _repeats_a_key(text) -> bool:
+    """Whether some JSON object in `text` holds one key twice."""
+    repeats = []
+    json.loads(text, object_pairs_hook=lambda pairs: repeats.append(len(dict(pairs)) < len(pairs)))
+    return any(repeats)
+
+
+def _cli(command, text):
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
             redirect_stdout(out), redirect_stderr(err):
         rc = cli.main([command])
     return rc, out.getvalue(), err.getvalue()
@@ -163,15 +177,16 @@ def _cli(command, doc):
 @settings(max_examples=300, deadline=None)
 @given(mutated_documents())
 def test_documents_round_trip_or_exit_2(case):
-    kind, doc = case
+    kind, text = case
     command = "check" if kind == "instance" else "render"
     try:
-        again = _reencode(kind, doc)
+        again = _reencode(kind, text)
     except InstanceError:
-        rc, out, err = _cli(command, doc)
+        rc, out, err = _cli(command, text)
         assert rc == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         return
-    assert _content(kind, again) == _content(kind, doc)
-    rc, out, err = _cli(command, doc)
+    assert not _repeats_a_key(text)
+    assert _content(kind, again) == _content(kind, json.loads(text))
+    rc, out, err = _cli(command, text)
     assert rc == 0 and out and err == ""

@@ -100,11 +100,7 @@ def test_phase_trace_json():
         [[1, 1], [1, 2], [2, 1]],
         [[1, 1], [1, 2], [2, 1], [2, 2]],
     ]
-    parsed_params, stages, kind, edges = jsonio.parse_trace(json.dumps(doc))
-    assert kind == "phases"
-    assert stages[-1].is_full()
-    assert parsed_params == params
-    assert edges == []
+    assert jsonio.parse_trace(json.dumps(doc)) == (params, trace)
 
 
 def test_step_trace_json():
@@ -115,10 +111,22 @@ def test_step_trace_json():
     assert doc["steps"] == [
         {"v": [2, 2], "edge": {"axes": [1, 2], "varying": {"1": [1, 2], "2": [1, 2]}, "fixed": {}}}
     ]
-    _, stages, kind, edges = jsonio.parse_trace(doc)
-    assert kind == "steps"
-    assert stages[0] == a and stages[-1].is_full()
-    assert [e.sets for e in edges] == [((1, 2), (1, 2))]
+    assert jsonio.parse_trace(doc) == (params, trace)
+
+
+def test_parse_trace_inverts_the_trace_writers():
+    rng = random.Random(4)
+    for dims, t, r in (((7,), 2, 1), ((3, 4), 2, 2), ((4, 4), 3, 1), ((2, 3, 3), 2, 2),
+                       ((3, 3, 2), 2, 3)):
+        shape, params = GridShape(dims), Params(t, r)
+        for _ in range(6):
+            a = CellSet(shape, rng.getrandbits(cell_count(shape)))
+            trace = full_form(a, params)[1]
+            assert jsonio.parse_trace(jsonio.phase_trace_to_json(trace, params)) == (params, trace)
+            for seed in (None, rng.randrange(100)):
+                trace = step_by_step(a, params, seed=seed)
+                doc = jsonio.dumps(jsonio.step_trace_to_json(trace, params))
+                assert jsonio.parse_trace(doc) == (params, trace)
 
 
 def test_search_report_json_and_csv():
@@ -316,6 +324,29 @@ def test_documents_without_extra_fields_still_parse():
     jsonio.parse_trace({"shape": [1, 1], "t": 2, "r": 2, "steps": []})
 
 
+@pytest.mark.parametrize(
+    "command,text,key",
+    [
+        # Plain json.loads keeps the last value, which would percolate.
+        ("check", '{"shape":[3,3],"t":2,"r":2,"cells":[[1,1]],"cells":[[1,1],[1,2],[2,1]]}',
+         "cells"),
+        # Twice the same value is rejected too.
+        ("check", '{"shape":[2,2],"t":2,"t":2,"r":2,"cells":[]}', "t"),
+        # In a nested edge: the last "1" would make this the square {1,2}x{1,2}.
+        ("render", '{"shape":[2,2],"t":2,"r":2,"start":[[1,1],[1,2],[2,1]],"steps":[{"v":[2,2],'
+         '"edge":{"varying":{"1":[1,3],"1":[1,2],"2":[1,2]}}}]}', "1"),
+    ],
+)
+def test_documents_reject_a_repeated_key(command, text, key, capsys, monkeypatch):
+    parse = jsonio.parse_instance if command == "check" else jsonio.parse_trace
+    with pytest.raises(InstanceError, match="JSON object repeats the key"):
+        parse(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc = main([command])
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == "" and out.err == f"error: JSON object repeats the key {key!r}\n"
+
+
 def _step_trace_doc(**overrides):
     shape, params = GridShape((3, 3)), Params(2, 2)
     a = CellSet.from_cells(shape, [(1, 1), (1, 2), (2, 1)])
@@ -420,8 +451,8 @@ def test_trace_rejects_phases_that_are_not_phase_steps(phases, message, capsys, 
     assert rc == 2 and out.out == "" and "error:" in out.err
     # The phase trace of the start set itself renders.
     doc["phases"] = [START, BLOCK]
-    _, stages, _, _ = jsonio.parse_trace(doc)
-    assert stages == list(full_form(stages[0], Params(2, 2))[1].phases)
+    _, trace = jsonio.parse_trace(doc)
+    assert trace == full_form(trace.phases[0], Params(2, 2))[1]
 
 
 # Naive reference renderer: one membership test per cell through

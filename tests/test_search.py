@@ -114,7 +114,7 @@ def test_budget_stop_limits_the_predicate_to_earlier_candidates():
         (10, [0b1, 0b111111111], {0: 1, 1: 9, 2: 1}),
     ):
         calls.clear()
-        report = search._min_size(shape, P22, "percolate", hits, "exact", budget, None)
+        report = search._min_size(shape, P22, "percolate", hits, budget, None)
         # Layer 0 takes one check. The budget runs out in layer 1 (layer 2
         # at budget 10); the predicate sees only the candidates before the
         # stop, and is not called at stop 0.
@@ -123,10 +123,8 @@ def test_budget_stop_limits_the_predicate_to_earlier_candidates():
         assert report.examined == examined
 
 
-def test_search_rejects_unknown_mode_and_negative_budget():
+def test_search_rejects_negative_budget():
     for run in (min_percolating_size, min_one_phase_size):
-        with pytest.raises(ValueError, match="unknown search mode 'dedup'"):
-            run(GridShape((3, 3)), P22, mode="dedup")
         with pytest.raises(ValueError, match="budget must be nonnegative"):
             run(GridShape((3, 3)), P22, budget=-1)
 

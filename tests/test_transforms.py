@@ -152,6 +152,16 @@ def test_standardize_returns_none_without_blocked_vertex():
             break
 
 
+def test_standardize_rejects_r_other_than_2():
+    # At r = 1 the least infecting edge of the blocked cell (1, 2) is the
+    # row {1} x {1, 2}, which is no [t] x [t] square to align to.
+    shape, params = GridShape((3, 3)), Params(2, 1)
+    a = random_one_phase_set(shape, params, 10)
+    assert a.cells() == [(1, 1), (2, 1), (3, 1)]
+    with pytest.raises(ValueError, match="needs r = 2"):
+        standardize_blocking_corner(a, params)
+
+
 def per_cell_blocked_vertex(a, params):
     """Reference: the blocked vertex as standardize_blocking_corner found it
     before it read one phase step, by one infecting_edge call per cell."""
