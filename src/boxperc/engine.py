@@ -22,15 +22,17 @@ accumulators, leaving the edges that miss exactly one cell in
 the edge count; an edge's mask then gives its missing cell and its
 maximal corner. On that scan stand `EdgeTable.phases`, `percolates` and
 `one_phase`, and through them the phase scans, closures and predicates
-here, the samplers and shift search of `search`, and the shift moves of
-`transforms` and `verify`.
+here and the samplers of `search`. On it too stands `EdgeTable.moves`,
+the one source of shift moves: the shift search of `search`, the
+maximal-shift normal form of `transforms` and the shift battery of
+`verify` all read it.
 `EdgeTable.edge(k)` is the one way from an edge index to its `Edge`: it
 decodes edge k's index sets from the layout on first request and hands
 the same object to every later caller. Witnesses (`infecting_edge`, step
 traces, shift records) go through it, so an edge is built only when it is
 reported or `all_edges` asks for all of them. Witnesses are found two
-ways. For a set, `infecting_edge` and the shift moves read the scan: the
-edges of `single_missing` through a cell. Step traces propagate
+ways. For a set, `infecting_edge` and `moves` read the scan: the edges of
+`single_missing` through a cell, or all of them. Step traces propagate
 missing counts: each edge keeps the number of its cells still uninfected,
 so one step touches only the edges through the cell it infects, and a
 cell's witness is recorded when an edge's count drops to one. Those edges
@@ -98,8 +100,9 @@ class EdgeTable:
     The table stores `masks[k]`, the occupancy bitmask of edge k, the
     block layout and `full`, the mask of every cell; everything else is
     derived from them. The scalar scan over the edge columns lives here:
-    `single_missing`, `phases`, `percolates` and `one_phase`, each over a
-    set given as its cell bits. `edge(k)` decodes edge k on first request.
+    `single_missing`, `phases`, `percolates`, `one_phase` and the shift
+    moves, `moves`, each over a set given as its cell bits. `edge(k)`
+    decodes edge k on first request.
     The search kernel's units (`units`: per r-flat and t-box F, the boxes
     {y} x F along the flat's longest varying axis) and the per-cell edge
     columns (`columns`) are built from the layout on first use and kept.
@@ -169,6 +172,35 @@ class EdgeTable:
             once |= col
             miss ^= low
         return once & ~twice
+
+    def moves(self, bits: int, maximal_only: bool = False) -> Iterator[tuple[int, int, int]]:
+        """The shift moves of the set `bits`: (k, vbit, wbit) for each edge
+        k that misses one cell, vbit, and each member wbit of that edge to
+        evict, edges ascending, then members ascending. With `maximal_only`
+        the only member offered is the edge's maximal corner, its highest
+        bit, and an edge whose missing cell is that corner offers none."""
+        masks = self.masks
+        inv = ~bits
+        single = self.single_missing(bits)
+        while single:
+            low = single & -single
+            single ^= low
+            k = low.bit_length() - 1
+            m = masks[k]
+            vbit = m & inv
+            # The maximal case skips the member loop: masking m down to its
+            # corner and looping measured 7-8% slower on the normal form and
+            # on maximal-only reach.
+            if maximal_only:
+                top = 1 << m.bit_length() - 1
+                if top != vbit:
+                    yield k, vbit, top
+                continue
+            rest = m ^ vbit
+            while rest:
+                wbit = rest & -rest
+                rest ^= wbit
+                yield k, vbit, wbit
 
     def phases(self, bits: int) -> Iterator[int]:
         """The phases after `bits`, each a strict superset of the one before,

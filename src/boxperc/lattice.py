@@ -286,15 +286,6 @@ class Edge:
         """The unique edge vertex of maximal coordinate sum."""
         return tuple(s[-1] for s in self.sets)
 
-    def sort_key(self) -> tuple:
-        """Deterministic edge order: axes ascending, then the varying value
-        tuples in axis order, then the fixed coordinates."""
-        return (
-            self.axes,
-            tuple(s for s in self.sets if len(s) > 1),
-            tuple(s[0] for s in self.sets if len(s) == 1),
-        )
-
 
 def edge_vertices(edge: Edge) -> tuple[Vertex, ...]:
     """All t**r vertices of the edge, in ascending coordinate order."""
@@ -402,8 +393,10 @@ def project(a: CellSet, axis: int) -> CellSet:
 
 
 def p_slice(a: CellSet, axis: int, value: int) -> CellSet:
-    """Projection of one slice: the slice content seen on the reduced shape."""
+    """Projection of one slice: the slice content seen on the reduced shape.
+    The value is an integer; a float or a string raises."""
     n = axis_length(a.shape, axis)
+    value = operator.index(value)
     if not 1 <= value <= n:
         raise ValueError(f"slice index {value} out of range on axis {axis}")
     return _squash(a, axis, [int(c == value) for c in range(1, n + 1)])
@@ -423,10 +416,11 @@ def permute_slices(a: CellSet, axis: int, order: Iterable[int]) -> CellSet:
     """Reorder the slices along one axis.
 
     `order` lists 1-based old slice indices; the new slice at position m is
-    the old slice order[m-1]. Must be a permutation of 1..n_axis.
+    the old slice order[m-1]. Must be a permutation of 1..n_axis, in
+    integers; a float or a string raises.
     """
     n = axis_length(a.shape, axis)
-    order = tuple(int(i) for i in order)
+    order = tuple(map(operator.index, order))
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"{order} is not a permutation of 1..{n}")
     to = [0] * n

@@ -9,7 +9,7 @@ input and the format version.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .lattice import CellSet, Edge, GridShape, cell_count, edge_mask
 
@@ -98,14 +98,20 @@ def ascii_stages(
     For step traces pass `edges` (one per stage after the first): each
     panel then highlights the hyperedge that witnessed its step.
     """
-    out = []
+    return "\n".join(f"{label} {k}:\n" + ascii_grid(*entry)
+                     for k, entry in enumerate(_stage_entries(stages, edges)))
+
+
+def _stage_entries(
+    stages: Sequence[CellSet], edges: Optional[Sequence[Optional[Edge]]]
+) -> Iterator[tuple[CellSet, Optional[CellSet], Optional[Edge]]]:
+    """(stage, its cells new since the stage before, its witness edge) for
+    each stage; the first stage has neither new cells nor an edge."""
     prev: Optional[CellSet] = None
     for k, stage in enumerate(stages):
-        new = stage - prev if prev is not None else None
-        edge = edges[k - 1] if edges is not None and k > 0 else None
-        out.append(f"{label} {k}:\n" + ascii_grid(stage, new=new, edge=edge))
+        yield (stage, stage - prev if prev is not None else None,
+               edges[k - 1] if edges is not None and k > 0 else None)
         prev = stage
-    return "\n".join(out)
 
 
 def _svg_panel(
@@ -179,13 +185,7 @@ def svg_stages(
     edges: Optional[Sequence[Optional[Edge]]] = None,
 ) -> str:
     """All stages in one SVG document, stacked vertically."""
-    pairs = []
-    prev: Optional[CellSet] = None
-    for k, stage in enumerate(stages):
-        edge = edges[k - 1] if edges is not None and k > 0 else None
-        pairs.append((stage, stage - prev if prev is not None else None, edge))
-        prev = stage
-    return _svg_document(pairs)
+    return _svg_document(list(_stage_entries(stages, edges)))
 
 
 def _svg_document(entries) -> str:

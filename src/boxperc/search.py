@@ -438,7 +438,6 @@ def shift_reach(
     if max_ops < 0 or max_states < 0:
         raise ValueError(f"max_ops and max_states must be >= 0, got {max_ops} and {max_states}")
     table = _edge_table(a.shape, params)
-    masks = table.masks
     if not table.percolates(a.bits):
         raise ValueError("shift_reach expects a percolating start set")
     if goal == "contains-l":
@@ -454,37 +453,28 @@ def shift_reach(
     if goal_fn(a.bits):
         return ReachResult("found", (), 1, 0)
 
-    # state -> (parent state, edge index, infected bit, evicted bit), or
-    # None for the start; its keys are the states seen.
-    parents: dict[int, Optional[tuple[int, int, int, int]]] = {a.bits: None}
+    # state -> (parent state, the move from it), or None for the start;
+    # its keys are the states seen.
+    parents: dict[int, Optional[tuple[int, tuple[int, int, int]]]] = {a.bits: None}
     frontier = [a.bits]
     depth = 0
     while frontier and depth < max_ops:
         nxt = []
         for state in frontier:
-            inv = ~state
-            # Edges in ascending order, each missing exactly one cell.
-            for k in iter_bits(table.single_missing(state)):
-                m = masks[k]
-                miss = m & inv
-                # Evict members in ascending order; the maximal corner is
-                # the edge's highest bit.
-                rest = (1 << (m.bit_length() - 1) if maximal_only else m) & ~miss
-                while rest:
-                    wbit = rest & -rest
-                    rest ^= wbit
-                    succ = (state | miss) & ~wbit
-                    if succ in parents:
-                        continue
-                    if len(parents) >= max_states:
-                        # A cut pass still counts as a level reached.
-                        return ReachResult("inconclusive", None, len(parents), depth + 1)
-                    parents[succ] = (state, k, miss, wbit)
-                    if goal_fn(succ):
-                        return ReachResult(
-                            "found", _shift_chain(table, parents, succ), len(parents), depth + 1
-                        )
-                    nxt.append(succ)
+            for move in table.moves(state, maximal_only):
+                _, vbit, wbit = move
+                succ = (state | vbit) & ~wbit
+                if succ in parents:
+                    continue
+                if len(parents) >= max_states:
+                    # A cut pass still counts as a level reached.
+                    return ReachResult("inconclusive", None, len(parents), depth + 1)
+                parents[succ] = (state, move)
+                if goal_fn(succ):
+                    return ReachResult(
+                        "found", _shift_chain(table, parents, succ), len(parents), depth + 1
+                    )
+                nxt.append(succ)
         frontier = nxt
         depth += 1
     return ReachResult("inconclusive" if frontier else "unreachable", None, len(parents), depth)
@@ -494,6 +484,6 @@ def _shift_chain(table: EdgeTable, parents: dict, state: int) -> tuple[ShiftReco
     """The shift records leading from the start state to `state`."""
     chain = []
     while (link := parents[state]) is not None:
-        state, k, vbit, wbit = link
-        chain.append(shift_record(table, k, vbit.bit_length() - 1, wbit.bit_length() - 1))
+        state, move = link
+        chain.append(shift_record(table, *move))
     return tuple(reversed(chain))

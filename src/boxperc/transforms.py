@@ -24,7 +24,6 @@ from .lattice import (
     axis_length,
     check_vertex,
     edge_mask,
-    iter_bits,
     p_slice,
     permute_slices,
     relabel_axis,
@@ -40,16 +39,19 @@ class ShiftRecord:
     edge: Edge
     infected: Vertex
     removed: Vertex
-    maximal: bool
+
+    @property
+    def maximal(self) -> bool:
+        """True when the shift evicted the edge's maximal corner."""
+        return self.removed == self.edge.max_corner()
 
 
-def shift_record(table: EdgeTable, k: int, v: int, w: int) -> ShiftRecord:
-    """The shift along edge k of `table` that infects cell v and evicts
-    cell w (linear indices). It is maximal when w is the edge's maximal
-    corner, its highest bit."""
-    return ShiftRecord(table.edge(k), unchecked_vertex(table.shape, v),
-                       unchecked_vertex(table.shape, w),
-                       maximal=w == table.masks[k].bit_length() - 1)
+def shift_record(table: EdgeTable, k: int, vbit: int, wbit: int) -> ShiftRecord:
+    """The shift along edge k of `table` that infects the cell of bit vbit
+    and evicts that of bit wbit: a move as `EdgeTable.moves` gives it."""
+    shape = table.shape
+    return ShiftRecord(table.edge(k), unchecked_vertex(shape, vbit.bit_length() - 1),
+                       unchecked_vertex(shape, wbit.bit_length() - 1))
 
 
 @dataclass(frozen=True)
@@ -194,8 +196,7 @@ def shift(a: CellSet, e: Edge, w) -> tuple[CellSet, ShiftRecord]:
         raise ValueError(f"{w} is not an infected vertex of the edge")
     moved = CellSet(a.shape, (a.bits | miss) & ~wbit)
     v = unchecked_vertex(a.shape, miss.bit_length() - 1)
-    record = ShiftRecord(e, v, w, maximal=w == e.max_corner())
-    return moved, record
+    return moved, ShiftRecord(e, v, w)
 
 
 def is_standard_position(e: Edge, a: CellSet) -> bool:
@@ -206,25 +207,6 @@ def is_standard_position(e: Edge, a: CellSet) -> bool:
     return miss.bit_length() == mask.bit_length()
 
 
-def _nonstandard_candidates(bits: int, table: EdgeTable) -> list[tuple[int, int]]:
-    """(missing cell, edge) index pairs for every infecting edge whose
-    missing cell is not its maximal corner, sorted by cell then edge.
-
-    An edge's maximal corner is its highest bit, and table order is edge
-    sort order.
-    """
-    masks = table.masks
-    inv = ~bits
-    out = []
-    for k in iter_bits(table.single_missing(bits)):
-        m = masks[k]
-        top = (m & inv).bit_length()
-        if top != m.bit_length():
-            out.append((top - 1, k))
-    out.sort()
-    return out
-
-
 def normalize_max_shifts(
     a: CellSet, params: Params, seed: Optional[int] = None
 ) -> tuple[CellSet, tuple[ShiftRecord, ...]]:
@@ -232,8 +214,9 @@ def normalize_max_shifts(
     position. Each step evicts the maximal corner of the chosen edge, so the
     total coordinate sum strictly decreases and the loop terminates.
 
-    With seed None the least (vertex, edge) candidate is chosen each step;
-    a seeded generator picks among candidates otherwise (the terminal set
+    The candidates are the maximal moves of `EdgeTable.moves`, ordered by
+    missing vertex, then edge. With seed None the least is chosen each
+    step; a seeded generator picks among them otherwise (the terminal set
     may then differ, but is always stable).
     """
     rng = random.Random(seed) if seed is not None else None
@@ -241,15 +224,12 @@ def normalize_max_shifts(
     bits = a.bits
     records: list[ShiftRecord] = []
     while True:
-        candidates = _nonstandard_candidates(bits, table)
+        candidates = [(vbit, k, wbit) for k, vbit, wbit in table.moves(bits, True)]
         if not candidates:
             return CellSet(a.shape, bits), tuple(records)
-        vidx, k = candidates[0] if rng is None else rng.choice(candidates)
-        # The scan has checked what `shift` would: edge k misses only vidx,
-        # and its corner is a member other than vidx.
-        corner = table.masks[k].bit_length() - 1
-        bits = (bits | 1 << vidx) & ~(1 << corner)
-        records.append(shift_record(table, k, vidx, corner))
+        vbit, k, wbit = min(candidates) if rng is None else rng.choice(sorted(candidates))
+        bits = (bits | vbit) & ~wbit
+        records.append(shift_record(table, k, vbit, wbit))
 
 
 def p_row_decomposition(a: CellSet) -> PRowDecomposition:

@@ -31,9 +31,7 @@ from .lattice import (
     GridShape,
     Params,
     cell_count,
-    iter_bits,
     slice_cells,
-    unchecked_vertex,
 )
 from .search import (
     SearchReport,
@@ -46,7 +44,6 @@ from .transforms import (
     normalize_max_shifts,
     remove_slice,
     repack_first_column,
-    shift,
     stable_full_form,
     standardize_blocking_corner,
     union_slices,
@@ -236,15 +233,14 @@ def shift_invariance_battery(
     shape: GridShape, params: Params, seeds: int, seed_base: int
 ) -> tuple[int, int]:
     """(violations, shifts checked): the closure must not change under any
-    applicable shift of a random subset: along each edge missing exactly
-    one cell, any of its present cells may move there."""
+    shift move of a random subset (`EdgeTable.moves`): along each edge
+    missing exactly one cell, any of its present cells may move there."""
     table = _edge_table(shape, params)
     return _tally(
-        full_form(shift(a, table.edge(j), unchecked_vertex(shape, w))[0], params)[0] == closed
+        full_form(CellSet(shape, (a.bits | vbit) & ~wbit), params)[0] == closed
         for _, a in _random_subsets(shape, seeds, seed_base)
         for closed in [full_form(a, params)[0]]
-        for j in iter_bits(table.single_missing(a.bits))
-        for w in iter_bits(table.masks[j] & a.bits)
+        for _, vbit, wbit in table.moves(a.bits)
     )
 
 

@@ -42,6 +42,16 @@ from boxperc.transforms import normalize_max_shifts
 P22 = Params(2, 2)
 
 
+def edge_order(e):
+    """The documented edge order: varying axes ascending, then the varying
+    value tuples in axis order, then the fixed coordinates."""
+    return (
+        e.axes,
+        tuple(s for s in e.sets if len(s) > 1),
+        tuple(s[0] for s in e.sets if len(s) == 1),
+    )
+
+
 def rand_set(shape, rng):
     return CellSet(shape, rng.getrandbits(cell_count(shape)))
 
@@ -93,7 +103,7 @@ def test_infecting_edge_returns_least_edge():
             ]
             got = infecting_edge(a, v, P22)
             if witnesses:
-                assert got == min(witnesses, key=Edge.sort_key)
+                assert got == min(witnesses, key=edge_order)
             else:
                 assert got is None
 
@@ -288,7 +298,7 @@ def naive_edge_table(shape, params):
             else:
                 options.append([(v,) for v in range(1, n + 1)])
         edges.extend(Edge(sets) for sets in product(*options))
-    edges.sort(key=Edge.sort_key)
+    edges.sort(key=edge_order)
     masks = [sum(1 << linear_index(shape, v) for v in product(*e.sets)) for e in edges]
     return edges, masks
 
@@ -373,7 +383,7 @@ def assert_table_matches_reference(shape, params):
             got += [k + q for k in lines[cell // (s * n) * s + cell % s] for q in held[-1][cell // s % n]]
         assert sorted(got) == ks
     assert all_edges(shape, params) == tuple(edges)
-    assert tuple(sorted(all_edges(shape, params), key=Edge.sort_key)) == tuple(edges)
+    assert tuple(sorted(all_edges(shape, params), key=edge_order)) == tuple(edges)
 
 
 @settings(max_examples=80, deadline=None)
@@ -647,3 +657,58 @@ def test_table_scan_matches_mask_scan_reference_on_l_sets():
         a = l_set(shape, params)
         for bits in (a.bits, *(a.bits ^ 1 << idx for idx in iter_bits(a.bits))):
             assert_table_scan_matches_mask_scan(CellSet(shape, bits), params)
+
+
+# Reference: the shift moves over the Edge tuple. Edges in table order;
+# members in edge_vertices order, which is ascending linear index; the
+# maximal corner read through max_corner.
+
+
+def naive_moves(a, params, maximal_only):
+    moves = []
+    for k, e in enumerate(all_edges(a.shape, params)):
+        missing = [v for v in edge_vertices(e) if v not in a]
+        if len(missing) != 1:
+            continue
+        v = missing[0]
+        for w in edge_vertices(e):
+            if w != v and (not maximal_only or w == e.max_corner()):
+                moves.append((k, 1 << linear_index(a.shape, v), 1 << linear_index(a.shape, w)))
+    return moves
+
+
+@st.composite
+def move_instances(draw):
+    d = draw(st.integers(1, 4))
+    dims = tuple(draw(st.lists(st.integers(1, (7, 5, 3, 3)[d - 1]), min_size=d, max_size=d)))
+    shape = GridShape(dims)
+    full = (1 << cell_count(shape)) - 1
+    # Empty, full, uniform random and dense random sets.
+    words = [draw(st.integers(0, full)) for _ in range(2)]
+    bits = draw(st.sampled_from((0, full, words[0], words[0] | words[1])))
+    return CellSet(shape, bits), draw(st.sampled_from((2, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(move_instances())
+def test_moves_match_edge_tuple_reference(inst):
+    # The exact sequence, order included, at every r and both values of
+    # maximal_only.
+    a, t = inst
+    for r in range(1, a.shape.d + 1):
+        params = Params(t, r)
+        table = _edge_table(a.shape, params)
+        for maximal_only in (False, True):
+            assert list(table.moves(a.bits, maximal_only)) == naive_moves(a, params, maximal_only)
+
+
+def test_moves_match_edge_tuple_reference_on_l_sets():
+    # An L set less one cell has many edges missing exactly one cell.
+    for dims, t, r in (((5, 5), 2, 2), ((4, 5), 3, 2), ((3, 3, 3), 2, 3), ((2, 3, 2, 3), 2, 2)):
+        shape, params = GridShape(dims), Params(t, r)
+        table = _edge_table(shape, params)
+        a = l_set(shape, params)
+        for idx in iter_bits(a.bits):
+            b = CellSet(shape, a.bits ^ 1 << idx)
+            for maximal_only in (False, True):
+                assert list(table.moves(b.bits, maximal_only)) == naive_moves(b, params, maximal_only)

@@ -75,6 +75,11 @@ def test_params_validation():
         lambda: CellSet.from_cells(GridShape((3, 3)), [(1.9, 1)]),
         lambda: (2.5, 1) in CellSet.empty(GridShape((3, 3))),
         lambda: ("2", 1) in CellSet.empty(GridShape((3, 3))),
+        lambda: permute_slices(CellSet.from_cells(GridShape((3, 3)), [(1, 1), (2, 3)]),
+                               1, [1.9, 3.2, 2.0]),
+        lambda: permute_slices(CellSet.from_cells(GridShape((3, 3)), [(1, 1), (2, 3)]),
+                               1, ["1", "3", "2"]),
+        lambda: p_slice(CellSet.from_cells(GridShape((3, 3)), [(1, 1), (2, 3)]), 1, 2.0),
     ],
 )
 def test_constructors_reject_floats_and_strings(build):

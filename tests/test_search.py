@@ -636,7 +636,7 @@ def naive_shift_reach(a, params, goal, max_ops, max_states, maximal_only):
                         truncated = True
                         break
                     visited.add(succ)
-                    parents[succ] = (state, ShiftRecord(e, v, w, w == e.max_corner()))
+                    parents[succ] = (state, ShiftRecord(e, v, w))
                     if goal_fn(succ):
                         chain = []
                         while succ != a.bits:

@@ -303,8 +303,18 @@ def test_normalize_seeded_order_still_stabilizes():
 
 
 # Reference: the normal form over the Edge tuple. Candidates come from
-# edge_vertices and max_corner, sorted by vertex then Edge.sort_key, and
+# edge_vertices and max_corner, sorted by vertex then edge_order, and
 # every move goes through shift().
+
+
+def edge_order(e):
+    """The documented edge order: varying axes ascending, then the varying
+    value tuples in axis order, then the fixed coordinates."""
+    return (
+        e.axes,
+        tuple(s for s in e.sets if len(s) > 1),
+        tuple(s[0] for s in e.sets if len(s) == 1),
+    )
 
 
 def naive_normalize_max_shifts(a, params, seed=None):
@@ -316,7 +326,7 @@ def naive_normalize_max_shifts(a, params, seed=None):
             missing = [v for v in edge_vertices(e) if v not in a]
             if len(missing) == 1 and missing[0] != e.max_corner():
                 candidates.append((missing[0], e))
-        candidates.sort(key=lambda ve: (ve[0], ve[1].sort_key()))
+        candidates.sort(key=lambda ve: (ve[0], edge_order(ve[1])))
         if not candidates:
             return a, tuple(records)
         _, e = candidates[0] if rng is None else rng.choice(candidates)
