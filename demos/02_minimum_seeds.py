@@ -40,8 +40,7 @@ for dims, t, r in (((3, 3), 2, 2), ((4, 3), 2, 2), ((2, 2, 2), 2, 2),
     report = min_percolating_size(sh, pa)
     print(f"{dims} t={t} r={r}: oracle={report.minimum} "
           f"formula={m_formula(sh, pa).total} "
-          f"(examined {report.examined_total} sets, {report.checks} closures, "
-          f"{report.duration_ms} ms)")
+          f"(examined {report.examined_total} sets, {report.checks} closures)")
 
 # A degenerate case: a 1 x n grid has no hyperedges at t=2, r=2, so only
 # the full row percolates.

@@ -14,7 +14,6 @@ from .lattice import (
     cell_count,
     check_compatible,
     edge_vertices,
-    edgesum,
     linear_index,
     p_slice,
     permute_slices,
@@ -31,7 +30,6 @@ from .engine import (
     one_phase,
     percolates,
     phase_step,
-    rectangle_blocks,
     step_by_step,
 )
 from .constructions import MFormulaTerms, l_set, l_set_cardinality, m_formula
@@ -39,9 +37,9 @@ from .transforms import (
     BlockingAlignment,
     PRowDecomposition,
     ShiftRecord,
-    is_standard_position,
     normalize_max_shifts,
     p_row_decomposition,
+    rectangle_blocks,
     remove_slice,
     repack_first_column,
     shift,
@@ -78,10 +76,8 @@ __all__ = [
     "cell_count",
     "check_compatible",
     "edge_vertices",
-    "edgesum",
     "full_form",
     "infecting_edge",
-    "is_standard_position",
     "l_set",
     "l_set_cardinality",
     "linear_index",

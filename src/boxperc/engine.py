@@ -62,7 +62,6 @@ from .lattice import (
     check_compatible,
     check_vertex,
     linear_index,
-    p_slice,
     row_strides,
     unchecked_vertex,
 )
@@ -468,26 +467,3 @@ def step_by_step(a: CellSet, params: Params, seed: Optional[int] = None) -> Step
                         elif k < w:
                             witness[c] = k
     return StepTrace(a, tuple(steps))
-
-
-def rectangle_blocks(a: CellSet) -> Optional[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Decompose a 2D set into disjoint full combinatorial rectangles.
-
-    Returns [(row_indices, column_indices), ...] when the set is exactly a
-    union of products I x J with the I pairwise disjoint and the J pairwise
-    disjoint, else None. Closures of 2D sets at t = r = 2 always decompose
-    this way; arbitrary sets generally do not.
-    """
-    if a.shape.d != 2:
-        raise ValueError("rectangle_blocks needs a 2-dimensional set")
-    n1 = a.shape.dims[0]
-    rows: dict[tuple[int, ...], list[int]] = {}
-    for i in range(1, n1 + 1):
-        pattern = tuple(v[0] for v in p_slice(a, 1, i).cells())
-        if pattern:
-            rows.setdefault(pattern, []).append(i)
-    patterns = list(rows)
-    for p, q in combinations(patterns, 2):
-        if set(p) & set(q):
-            return None
-    return [(tuple(rows[p]), p) for p in sorted(patterns)]

@@ -36,15 +36,23 @@ MAX_DENSE_CELLS = 1 << 20
 MAX_SHAPE_CELLS = 1 << 62
 
 
+def as_int(value) -> int:
+    """`value` as an integer, exactly: a bool, a float or a string raises
+    TypeError instead of being read as 0, 1 or a truncation."""
+    if type(value) is bool:
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class GridShape:
     """Axis lengths (n1, ..., nd) of a box grid, all positive integers: a
-    float or a string raises instead of being truncated or parsed."""
+    bool, a float or a string raises (`as_int`)."""
 
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(operator.index(n) for n in self.dims)
+        dims = tuple(map(as_int, self.dims))
         object.__setattr__(self, "dims", dims)
         if len(dims) == 0:
             raise ValueError("a grid needs at least one axis")
@@ -63,16 +71,20 @@ class GridShape:
 @dataclass(frozen=True)
 class Params:
     """Infection parameters: edges vary along r axes with index sets of size
-    t. Both are integers; a float or a string raises."""
+    t. Both are stored as the integers `as_int` reads; a bool, a float or a
+    string raises."""
 
     t: int
     r: int
 
     def __post_init__(self) -> None:
-        if operator.index(self.t) < 2:
-            raise ValueError(f"t must be at least 2, got {self.t}")
-        if operator.index(self.r) < 1:
-            raise ValueError(f"r must be at least 1, got {self.r}")
+        t, r = as_int(self.t), as_int(self.r)
+        if t < 2:
+            raise ValueError(f"t must be at least 2, got {t}")
+        if r < 1:
+            raise ValueError(f"r must be at least 1, got {r}")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "r", r)
 
 
 def check_compatible(shape: GridShape, params: Params) -> None:
@@ -86,13 +98,10 @@ def cell_count(shape: GridShape) -> int:
     return math.prod(shape.dims)
 
 
-def edgesum(shape: GridShape) -> int:
-    """Sum of the axis lengths (the induction measure for slice surgery)."""
-    return sum(shape.dims)
-
-
 def axis_length(shape: GridShape, axis: int) -> int:
-    """Length of the 1-based `axis`; raises for an axis outside 1..d."""
+    """Length of the 1-based `axis`; raises for an axis outside 1..d or
+    one that is not an integer."""
+    axis = as_int(axis)
     if not 1 <= axis <= shape.d:
         raise ValueError(f"axis {axis} out of range for shape {shape.dims}")
     return shape.dims[axis - 1]
@@ -105,8 +114,8 @@ def row_strides(dims: tuple[int, ...]) -> list[int]:
 
 def check_vertex(shape: GridShape, vertex: Iterable[int]) -> Vertex:
     """Read as a tuple of integers and verify 1-based bounds; returns the
-    tuple. A float or a string coordinate raises."""
-    v = tuple(operator.index(c) for c in vertex)
+    tuple. A bool, a float or a string coordinate raises."""
+    v = tuple(map(as_int, vertex))
     if len(v) != shape.d:
         raise ValueError(f"vertex {v} has {len(v)} coordinates, expected {shape.d}")
     for c, n in zip(v, shape.dims):
@@ -245,13 +254,13 @@ class Edge:
 
     The sets with more than one value are the varying axes; they must all
     have the same size (that size is t, and their count is r). Each set is
-    stored sorted and deduplicated; a float or a string value raises.
+    stored sorted and deduplicated; a bool, a float or a string value raises.
     """
 
     sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        norm = tuple(tuple(sorted({operator.index(v) for v in s})) for s in self.sets)
+        norm = tuple(tuple(sorted(set(map(as_int, s)))) for s in self.sets)
         object.__setattr__(self, "sets", norm)
         if len(norm) == 0:
             raise ValueError("an edge needs at least one axis")
@@ -394,9 +403,9 @@ def project(a: CellSet, axis: int) -> CellSet:
 
 def p_slice(a: CellSet, axis: int, value: int) -> CellSet:
     """Projection of one slice: the slice content seen on the reduced shape.
-    The value is an integer; a float or a string raises."""
+    The value is an integer; a bool, a float or a string raises."""
     n = axis_length(a.shape, axis)
-    value = operator.index(value)
+    value = as_int(value)
     if not 1 <= value <= n:
         raise ValueError(f"slice index {value} out of range on axis {axis}")
     return _squash(a, axis, [int(c == value) for c in range(1, n + 1)])
@@ -417,10 +426,10 @@ def permute_slices(a: CellSet, axis: int, order: Iterable[int]) -> CellSet:
 
     `order` lists 1-based old slice indices; the new slice at position m is
     the old slice order[m-1]. Must be a permutation of 1..n_axis, in
-    integers; a float or a string raises.
+    integers; a bool, a float or a string raises.
     """
     n = axis_length(a.shape, axis)
-    order = tuple(map(operator.index, order))
+    order = tuple(map(as_int, order))
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"{order} is not a permutation of 1..{n}")
     to = [0] * n

@@ -62,6 +62,7 @@ from .lattice import (
     CellSet,
     GridShape,
     Params,
+    as_int,
     cell_count,
     iter_bits,
     slice_mask,
@@ -287,6 +288,7 @@ def _min_size(
     it returns 0 when none does. Its other bits are never read, so it may
     stop once it knows the first.
     """
+    budget = as_int(budget)
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     n = cell_count(shape)
@@ -433,8 +435,9 @@ def shift_reach(
     goal "one-phase" succeeds on states covering the grid in one phase.
     States are deduplicated by exact identity. `max_ops` bounds the
     sequence length and `max_states` the number of distinct states kept;
-    neither may be negative.
+    both are integers, and neither may be negative.
     """
+    max_ops, max_states = as_int(max_ops), as_int(max_states)
     if max_ops < 0 or max_states < 0:
         raise ValueError(f"max_ops and max_states must be >= 0, got {max_ops} and {max_states}")
     table = _edge_table(a.shape, params)

@@ -7,26 +7,34 @@ mates out; it never changes the closure. Repeated maximal shifts (always
 evicting the edge corner of maximal coordinate sum) terminate, and at
 t = r = 2 the terminal sets have enough structure that their closure can
 be read off a partition of the row projections.
+
+The 2-D row layer (the block check, the row decomposition, the structural
+closure and the repack) reads rows once, as column masks: row i is
+`p_slice(a, 1, i).bits`, whose bit j - 1 stands for column j. It writes
+back through the row and column slice masks, so no member is decoded.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .engine import EdgeTable, _edge_table, infecting_edge, one_phase, phase_step
 from .lattice import (
     CellSet,
     Edge,
+    GridShape,
     Params,
     Vertex,
     axis_length,
     check_vertex,
     edge_mask,
+    iter_bits,
     p_slice,
     permute_slices,
     relabel_axis,
+    slice_mask,
     unchecked_index,
     unchecked_vertex,
 )
@@ -99,29 +107,66 @@ def remove_slice(a: CellSet, axis: int, m: int) -> CellSet:
     return relabel_axis(a, axis, to)
 
 
-def _prow(a: CellSet, row: int) -> set[int]:
-    return {v[0] for v in p_slice(a, 1, row).cells()}
+def _check_2d(a: CellSet, caller: str = "") -> None:
+    """The row layer's one dimension check."""
+    if a.shape.d != 2:
+        raise ValueError(f"{caller} needs a 2-dimensional set".lstrip())
+
+
+def _rows(a: CellSet, caller: str) -> list[int]:
+    """Each row of a 2D set as a column mask: bit j - 1 stands for column j."""
+    _check_2d(a, caller)
+    return [p_slice(a, 1, i).bits for i in range(1, a.shape.dims[0] + 1)]
+
+
+def _columns(m: int) -> tuple[int, ...]:
+    """The 1-based columns of a column mask, ascending."""
+    return tuple(j + 1 for j in iter_bits(m))
+
+
+def _box(shape: GridShape, rows: Iterable[int], cols: int) -> int:
+    """Occupancy mask of the listed rows times the columns of mask `cols`."""
+    # Distinct slices are disjoint, so their masks add.
+    return (sum(slice_mask(shape, 1, i) for i in rows)
+            & sum(slice_mask(shape, 2, j + 1) for j in iter_bits(cols)))
+
+
+def rectangle_blocks(a: CellSet) -> Optional[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """Decompose a 2D set into disjoint full combinatorial rectangles.
+
+    Returns [(row_indices, column_indices), ...] when the set is exactly a
+    union of products I x J with the I pairwise disjoint and the J pairwise
+    disjoint, else None. Closures of 2D sets at t = r = 2 always decompose
+    this way; arbitrary sets generally do not.
+    """
+    blocks: dict[int, list[int]] = {}
+    for i, m in enumerate(_rows(a, "rectangle_blocks"), 1):
+        if m:
+            blocks.setdefault(m, []).append(i)
+    seen = 0
+    for m in blocks:
+        if seen & m:
+            return None
+        seen |= m
+    # Disjoint masks sort as their column tuples do: by least column.
+    return [(tuple(blocks[m]), _columns(m)) for m in sorted(blocks, key=lambda m: m & -m)]
 
 
 def repack_first_column(a: CellSet, params: Params) -> CellSet:
     """Per-row repack: where a row contains column 1 but fewer than t of the
     first t columns, move its column-1 cell to the least free column in the
     first t. Row sizes are preserved."""
-    if a.shape.d != 2:
-        raise ValueError("repack_first_column needs a 2-dimensional set")
+    rows = _rows(a, "repack_first_column")
     t = params.t
     if a.shape.dims[1] < t:
         raise ValueError(f"repack needs at least t={t} columns, got {a.shape.dims[1]}")
-    n1 = a.shape.dims[0]
-    cells: list[Vertex] = []
-    for i in range(1, n1 + 1):
-        row = _prow(a, i)
-        prefix = row & set(range(1, t + 1))
-        if 1 in row and len(prefix) < t:
-            target = min(set(range(1, t + 1)) - row)
-            row = (row - {1}) | {target}
-        cells.extend((i, j) for j in row)
-    return CellSet.from_cells(a.shape, cells)
+    bits = a.bits
+    for i, m in enumerate(rows, 1):
+        free = (1 << t) - 1 & ~m
+        if m & 1 and free:
+            # The row becomes m ^ (1 | free & -free).
+            bits ^= _box(a.shape, (i,), 1 | free & -free)
+    return CellSet(a.shape, bits)
 
 
 @dataclass(frozen=True)
@@ -144,8 +189,7 @@ def standardize_blocking_corner(a: CellSet, params: Params) -> Optional[Blocking
     leaves a one-phase set (no blocked vertex exists). Column 1 stays the
     first column under the relabelling.
     """
-    if a.shape.d != 2:
-        raise ValueError("needs a 2-dimensional set")
+    _check_2d(a)
     if params.r != 2:
         raise ValueError(f"needs r = 2, got r = {params.r}")
     if not one_phase(a, params):
@@ -175,21 +219,14 @@ def standardize_blocking_corner(a: CellSet, params: Params) -> Optional[Blocking
     return BlockingAlignment(aligned, row_order, col_order, (t, t), new_edge)
 
 
-def _missing_bit(a: CellSet, e: Edge) -> tuple[int, int]:
-    """(edge mask, bit of its one cell outside `a`); raises if the edge is
-    off the shape or not an infecting edge of `a`."""
+def shift(a: CellSet, e: Edge, w) -> tuple[CellSet, ShiftRecord]:
+    """Swap the missing vertex of infecting edge `e` in and member `w` out."""
     mask = edge_mask(e, a.shape)
     miss = mask & ~a.bits
     if not miss or miss & (miss - 1):
         raise ValueError(
             f"edge {e.sets} is not an infecting edge here ({miss.bit_count()} vertices missing)"
         )
-    return mask, miss
-
-
-def shift(a: CellSet, e: Edge, w) -> tuple[CellSet, ShiftRecord]:
-    """Swap the missing vertex of infecting edge `e` in and member `w` out."""
-    mask, miss = _missing_bit(a, e)
     w = check_vertex(a.shape, w)
     wbit = 1 << unchecked_index(a.shape, w)
     if wbit == miss or not mask & wbit:
@@ -197,14 +234,6 @@ def shift(a: CellSet, e: Edge, w) -> tuple[CellSet, ShiftRecord]:
     moved = CellSet(a.shape, (a.bits | miss) & ~wbit)
     v = unchecked_vertex(a.shape, miss.bit_length() - 1)
     return moved, ShiftRecord(e, v, w)
-
-
-def is_standard_position(e: Edge, a: CellSet) -> bool:
-    """True when the missing vertex of the infecting edge is the corner of
-    maximal coordinate sum (so no maximal shift applies)."""
-    mask, miss = _missing_bit(a, e)
-    # The maximal corner is the edge's highest bit.
-    return miss.bit_length() == mask.bit_length()
 
 
 def normalize_max_shifts(
@@ -232,6 +261,37 @@ def normalize_max_shifts(
         records.append(shift_record(table, k, vbit, wbit))
 
 
+def _row_classes(a: CellSet) -> list[tuple[list[int], int]]:
+    """(rows, representative mask) per class of `p_row_decomposition`,
+    classes ordered by their least row."""
+    rows = _rows(a, "p_row_decomposition")
+    # Each class as (its rows ascending, the union of their masks); a row
+    # merges every class whose union it meets.
+    classes: list[tuple[list[int], int]] = []
+    for i, m in enumerate(rows, 1):
+        if not m:
+            raise ValueError(f"row {i} is empty; every row must be nonempty")
+        members, union, rest = [], m, []
+        for cls in classes:
+            if cls[1] & m:
+                members += cls[0]
+                union |= cls[1]
+            else:
+                rest.append(cls)
+        classes = rest + [(sorted(members) + [i], union)]
+    out = []
+    for members, union in sorted(classes):
+        rep = rows[members[0] - 1]
+        if union != rep:
+            i = next(i for i in members if rows[i - 1] & ~rep)
+            raise ValueError(
+                f"not maximal-shift stable: row {i} is not contained in the "
+                f"representative row {members[0]}"
+            )
+        out.append((members, rep))
+    return out
+
+
 def p_row_decomposition(a: CellSet) -> PRowDecomposition:
     """Group the rows of a 2D set by overlapping projections.
 
@@ -242,44 +302,11 @@ def p_row_decomposition(a: CellSet) -> PRowDecomposition:
     and that containment is validated, naming the offending row pair on
     failure.
     """
-    if a.shape.d != 2:
-        raise ValueError("p_row_decomposition needs a 2-dimensional set")
-    n1 = a.shape.dims[0]
-    prows = {i: _prow(a, i) for i in range(1, n1 + 1)}
-    for i, row in prows.items():
-        if not row:
-            raise ValueError(f"row {i} is empty; every row must be nonempty")
-    # Connected components of the overlap graph.
-    unassigned = set(prows)
-    classes: list[list[int]] = []
-    while unassigned:
-        seed_row = min(unassigned)
-        component = {seed_row}
-        frontier = [seed_row]
-        while frontier:
-            i = frontier.pop()
-            for j in list(unassigned - component):
-                if prows[i] & prows[j]:
-                    component.add(j)
-                    frontier.append(j)
-        unassigned -= component
-        classes.append(sorted(component))
-    classes.sort(key=lambda c: c[0])
-    reps = []
-    rep_rows = []
-    for cls in classes:
-        rep_row = cls[0]
-        rep = prows[rep_row]
-        for i in cls:
-            if not prows[i] <= rep:
-                raise ValueError(
-                    f"not maximal-shift stable: row {i} is not contained in the "
-                    f"representative row {rep_row}"
-                )
-        reps.append(tuple(sorted(rep)))
-        rep_rows.append(rep_row)
+    classes = _row_classes(a)
     return PRowDecomposition(
-        tuple(tuple(c) for c in classes), tuple(reps), tuple(rep_rows)
+        tuple(tuple(rows) for rows, _ in classes),
+        tuple(_columns(rep) for _, rep in classes),
+        tuple(rows[0] for rows, _ in classes),
     )
 
 
@@ -287,8 +314,7 @@ def stable_full_form(a: CellSet) -> CellSet:
     """Closure of a maximal-shift stable 2D set (t = r = 2), read directly
     off the row decomposition: the union over classes of
     class rows x representative projection."""
-    decomp = p_row_decomposition(a)
-    cells = []
-    for cls, rep in zip(decomp.classes, decomp.representatives):
-        cells.extend((i, j) for i in cls for j in rep)
-    return CellSet.from_cells(a.shape, cells)
+    bits = 0
+    for rows, rep in _row_classes(a):
+        bits |= _box(a.shape, rows, rep)
+    return CellSet(a.shape, bits)

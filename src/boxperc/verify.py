@@ -23,7 +23,6 @@ from .engine import (
     one_phase,
     percolates,
     phase_step,
-    rectangle_blocks,
     step_by_step,
 )
 from .lattice import (
@@ -42,6 +41,7 @@ from .search import (
 )
 from .transforms import (
     normalize_max_shifts,
+    rectangle_blocks,
     remove_slice,
     repack_first_column,
     stable_full_form,
@@ -251,15 +251,14 @@ def normal_form_battery(
     2D set must yield a stable set containing all of row 1 and column 1,
     whose structural closure matches the engine closure."""
     params = Params(2, 2)
-    n1, n2 = shape.dims
+    # At t = r = 2 the L set is exactly row 1 and column 1.
+    lset = l_set(shape, params)
 
     def holds(a: CellSet) -> bool:
         stable, records = normalize_max_shifts(a, params)
         return (
             len(stable) == len(a)
-            and all((1, j) in stable for j in range(1, n2 + 1))
-            and all((i, 1) in stable for i in range(1, n1 + 1))
-            and l_set(shape, params).is_subset(stable)
+            and lset.is_subset(stable)
             and stable_full_form(stable) == full_form(stable, params)[0]
             and len(records) <= sum(sum(v) for v in a.cells())
         )

@@ -360,6 +360,12 @@ def test_shape_must_be_digit_runs(text, capsys):
         assert rc == 2 and out == "" and "bad shape" in err
 
 
+def test_shape_axis_lengths_must_be_positive(capsys):
+    rc, out, err = run(capsys, "lset", "--shape", "0,3", "--t", "2", "--r", "2")
+    assert rc == 2 and out == ""
+    assert err == "error: bad shape '0,3': axis lengths must be positive, got (0, 3)\n"
+
+
 def test_shape_separators():
     assert _parse_shape("3,4").dims == (3, 4)
     assert _parse_shape("2x2x3").dims == (2, 2, 3)

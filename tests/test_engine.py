@@ -16,7 +16,6 @@ from boxperc.engine import (
     one_phase,
     percolates,
     phase_step,
-    rectangle_blocks,
     step_by_step,
 )
 from boxperc.lattice import (
@@ -242,27 +241,6 @@ def test_closure_laws_on_random_sets():
             assert full_form(closed, params)[0] == closed
             b = CellSet(shape, a.bits | rng.getrandbits(cell_count(shape)))
             assert closed.is_subset(full_form(b, params)[0])
-
-
-def test_rectangle_blocks():
-    shape = GridShape((3, 3))
-    a = CellSet.from_cells(shape, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)])
-    blocks = rectangle_blocks(a)
-    assert blocks == [((1, 2), (1, 2)), ((3,), (3,))]
-    # Overlapping but unequal row patterns are not a block union.
-    b = CellSet.from_cells(shape, [(1, 1), (1, 2), (2, 1)])
-    assert rectangle_blocks(b) is None
-    with pytest.raises(ValueError):
-        rectangle_blocks(CellSet.empty(GridShape((2, 2, 2))))
-
-
-def test_closures_decompose_into_blocks():
-    rng = random.Random(47)
-    shape = GridShape((5, 5))
-    for _ in range(60):
-        a = rand_set(shape, rng)
-        closed, _ = full_form(a, P22)
-        assert rectangle_blocks(closed) is not None
 
 
 def test_edge_enumeration_cap():

@@ -29,6 +29,13 @@ INST_2D = {
     "shape": [4, 5], "t": 2, "r": 2,
     "cells": [[1, 5], [2, 3], [2, 5], [3, 1], [3, 2], [3, 5], [4, 3], [4, 4]],
 }
+# A maximal-shift stable set (`normalize` of a random subset) with three
+# row classes: rows 1 and 3, rows 2 and 5, and row 4. Rows 3 and 5 lie
+# strictly inside their representatives, rows 1 and 2.
+INST_STABLE_2D = {
+    "shape": [5, 6], "t": 2, "r": 2,
+    "cells": [[1, 2], [1, 3], [1, 6], [2, 1], [2, 5], [3, 2], [4, 4], [5, 1]],
+}
 INST_3D = {
     "shape": [3, 3, 3], "t": 2, "r": 2,
     "cells": [[1, 1, 1], [1, 3, 3], [2, 1, 3], [2, 3, 2], [3, 1, 2], [3, 2, 2], [3, 2, 3]],
@@ -48,6 +55,7 @@ CASES = {
         ["search", "--shape", "3,3", "--t", "2", "--r", "2", "--budget", "0"], None, 3
     ),
     "normalize_2d": (["normalize"], INST_2D, 0),
+    "decompose_stable_2d": (["decompose"], INST_STABLE_2D, 0),
     "reach_2d": (["reach", "--goal", "contains-l", "--maximal-only"], INST_2D, 0),
     "verify_prop2_2": (["verify", "--suite", "prop2_2", "--json"], None, 0),
     # The shift battery and the closure laws run the scalar closure core.

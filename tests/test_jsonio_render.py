@@ -31,6 +31,25 @@ def test_instance_round_trip():
             assert b == a and q == params
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_instance_document_round_trip(data):
+    # Whatever the library accepts, it writes a document it reads back; a
+    # bool is no integer, so Params refuses it rather than write `true`.
+    dims = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    shape = GridShape(tuple(dims))
+    t = data.draw(st.integers(2, 5) | st.booleans())
+    r = data.draw(st.integers(1, len(dims)) | st.booleans())
+    if isinstance(t, bool) or isinstance(r, bool):
+        with pytest.raises(TypeError):
+            Params(t, r)
+        return
+    params = Params(t, r)
+    a = CellSet(shape, data.draw(st.integers(0, (1 << cell_count(shape)) - 1)))
+    text = jsonio.dumps(jsonio.instance_to_json(a, params))
+    assert jsonio.parse_instance(text) == (a, params)
+
+
 def test_instance_diagnostics():
     with pytest.raises(InstanceError, match="missing required field"):
         jsonio.parse_instance({"shape": [2, 2], "t": 2, "r": 2})
@@ -353,6 +372,24 @@ def _step_trace_doc(**overrides):
     doc = jsonio.step_trace_to_json(step_by_step(a, params), params)
     doc.update(overrides)
     return doc
+
+
+@pytest.mark.parametrize(
+    "parse,message",
+    [
+        (lambda: jsonio.parse_instance("[1]"), "instance document must be a JSON object"),
+        (lambda: jsonio.parse_trace("[]"), "trace document must be a JSON object"),
+        (lambda: jsonio.parse_trace(_step_trace_doc(start=5)), "trace: start must be a list of cells"),
+        (lambda: jsonio.edge_from_json([1, 2], 2), "edge must be a JSON object"),
+        (lambda: jsonio.edge_from_json({"varying": {"1": [1, 2], "2": [1, 2]}, "fixed": {"1": 1}}, 2),
+         "edge: axis 1 is both varying and fixed"),
+        (lambda: jsonio.edge_from_json({"varying": {"1": [1, 2], "2": [1, 2, 3]}}, 2),
+         "invalid edge: varying index sets must share one size"),
+    ],
+)
+def test_documents_of_the_wrong_form_are_rejected(parse, message):
+    with pytest.raises(InstanceError, match=re.escape(message)):
+        parse()
 
 
 def test_trace_rejects_params_and_edges_off_its_shape():

@@ -14,7 +14,6 @@ from boxperc.lattice import (
     check_vertex,
     edge_mask,
     edge_vertices,
-    edgesum,
     linear_index,
     p_slice,
     permute_slices,
@@ -43,12 +42,6 @@ def test_cell_count_examples():
     assert cell_count(GridShape((5, 6))) == 30
     assert cell_count(GridShape((1,))) == 1
     assert cell_count(GridShape((2, 2, 2))) == 8
-
-
-def test_edgesum_examples():
-    assert edgesum(GridShape((1, 1, 1))) == 3
-    assert edgesum(GridShape((5, 6))) == 11
-    assert edgesum(GridShape((3, 3, 3))) == 9
 
 
 def test_params_validation():
@@ -80,11 +73,49 @@ def test_params_validation():
         lambda: permute_slices(CellSet.from_cells(GridShape((3, 3)), [(1, 1), (2, 3)]),
                                1, ["1", "3", "2"]),
         lambda: p_slice(CellSet.from_cells(GridShape((3, 3)), [(1, 1), (2, 3)]), 1, 2.0),
+        # A bool is not read as 0 or 1.
+        lambda: GridShape((True, 3)),
+        lambda: Params(2, True),
+        lambda: Params(False, 2),
+        lambda: Edge(((True, 2), (3,))),
+        lambda: check_vertex(GridShape((3, 3)), (True, 1)),
+        lambda: p_slice(CellSet.full(GridShape((3, 3))), True, 1),
+        lambda: p_slice(CellSet.full(GridShape((3, 3))), 1, True),
+        lambda: permute_slices(CellSet.full(GridShape((3, 3))), 1, [True, 3, 2]),
     ],
 )
 def test_constructors_reject_floats_and_strings(build):
-    # A float is not truncated and a string is not parsed: both raise.
+    # A float is not truncated, a string is not parsed and a bool is not
+    # an integer: all raise.
     with pytest.raises(TypeError):
+        build()
+
+
+def test_params_store_plain_ints():
+    class Index:
+        def __index__(self):
+            return 3
+
+    p = Params(Index(), 2)
+    assert type(p.t) is int and p == Params(3, 2)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: check_vertex(GridShape((3, 3)), (1,)), "has 1 coordinates, expected 2"),
+        (lambda: vertex_at(GridShape((2, 2)), 4), "linear index 4 out of range"),
+        (lambda: Edge(()), "an edge needs at least one axis"),
+        (lambda: Edge(((1, 2), ())), "empty index set in edge"),
+        (lambda: edge_mask(Edge(((1, 2), (1, 2))), GridShape((3, 3, 3))),
+         "edge has 2 axes, shape has 3"),
+        (lambda: p_slice(CellSet.full(GridShape((3, 3))), 1, 4),
+         "slice index 4 out of range on axis 1"),
+        (lambda: project(CellSet.full(GridShape((3,))), 1), "cannot project a one-dimensional grid"),
+    ],
+)
+def test_malformed_lattice_input_is_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
         build()
 
 

@@ -129,6 +129,14 @@ def test_search_rejects_negative_budget():
             run(GridShape((3, 3)), P22, budget=-1)
 
 
+@pytest.mark.parametrize("budget", [2.5, True])
+def test_search_rejects_a_budget_that_is_not_an_int(budget):
+    # Neither is reported back as the budget or the checks.
+    for run in (min_percolating_size, min_one_phase_size):
+        with pytest.raises(TypeError):
+            run(GridShape((3, 3)), P22, budget=budget)
+
+
 def _decoded(n, k):
     """The candidates of the blocks of layer (n, k), read back column by column."""
     out = []
@@ -531,6 +539,14 @@ def test_shift_reach_trivial_cases():
         shift_reach(CellSet.empty(shape), P22, "contains-l")
     with pytest.raises(ValueError):
         shift_reach(seed, P22, "no-such-goal")
+
+
+@pytest.mark.parametrize("bound", [{"max_ops": 2.5}, {"max_ops": True},
+                                   {"max_states": 2.5}, {"max_states": True}])
+def test_shift_reach_rejects_bounds_that_are_not_ints(bound):
+    seed = l_set(GridShape((3, 3)), P22)
+    with pytest.raises(TypeError):
+        shift_reach(seed, P22, "contains-l", **bound)
 
 
 def test_shift_reach_finds_l_via_maximal_shifts():

@@ -1,11 +1,20 @@
 import random
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxperc.engine import all_edges, full_form, infecting_edge, one_phase, percolates, phase_step
+from boxperc.engine import (
+    _edge_table,
+    all_edges,
+    full_form,
+    infecting_edge,
+    one_phase,
+    percolates,
+    phase_step,
+)
 from boxperc.lattice import (
     CellSet,
     Edge,
@@ -13,13 +22,15 @@ from boxperc.lattice import (
     Params,
     cell_count,
     edge_vertices,
+    p_slice,
     slice_cells,
 )
 from boxperc.search import random_one_phase_set, random_percolating_set
 from boxperc.transforms import (
-    is_standard_position,
+    PRowDecomposition,
     normalize_max_shifts,
     p_row_decomposition,
+    rectangle_blocks,
     remove_slice,
     repack_first_column,
     shift,
@@ -234,36 +245,42 @@ def test_shift_maximal_flag_and_errors():
         shift(a, e, (1, 1))  # w is the missing vertex
     with pytest.raises(ValueError):
         shift(CellSet.full(shape), e, (3, 3))  # nothing missing
-    with pytest.raises(ValueError):
-        shift(a.without_cells([(2, 2)]), e, (3, 3))  # two vertices missing
+    with pytest.raises(ValueError, match="2 vertices missing"):
+        shift(a.without_cells([(2, 2)]), e, (3, 3))
     with pytest.raises(ValueError, match="out of bounds"):
         shift(a, Edge(((1, 2, 4), (1, 2, 3))), (2, 2))  # edge off the grid
     with pytest.raises(ValueError, match="not an infected vertex"):
         shift(a, Edge(((1, 2), (1, 2))), (3, 3))  # w outside the edge
-    with pytest.raises(ValueError, match="2 vertices missing"):
-        is_standard_position(e, a.without_cells([(2, 2)]))
 
 
-def test_is_standard_position():
+def maximal_moves(a):
+    """The maximal shift moves of `a` at t = r = 2; none means stable."""
+    return list(_edge_table(a.shape, P22).moves(a.bits, maximal_only=True))
+
+
+def test_standard_position_examples():
     shape = GridShape((2, 2))
-    e = Edge(((1, 2), (1, 2)))
-    a = CellSet.from_cells(shape, [(1, 1), (1, 2), (2, 1)])
-    assert is_standard_position(e, a)  # missing vertex (2,2) is the corner
+    # The missing vertex (2,2) is the corner: standard position, no move.
+    assert maximal_moves(CellSet.from_cells(shape, [(1, 1), (1, 2), (2, 1)])) == []
+    # The missing vertex (1,1) is not: the corner (2,2) can be evicted.
     b = CellSet.from_cells(shape, [(1, 2), (2, 1), (2, 2)])
-    assert not is_standard_position(e, b)
+    assert [(v, w) for _, v, w in maximal_moves(b)] == [(1, 1 << 3)]
 
 
 def test_standard_position_means_no_maximal_shift():
+    # The edges with a maximal move are exactly the infecting edges whose
+    # missing vertex is not their maximal corner.
     shape = GridShape((3, 3))
+    table = _edge_table(shape, P22)
     rng = random.Random(7)
     for _ in range(40):
         a = CellSet(shape, rng.getrandbits(9))
+        movable = set()
         for e in all_edges(shape, P22):
             missing = [v for v in edge_vertices(e) if v not in a]
-            if len(missing) != 1:
-                continue
-            can_shift = missing[0] != e.max_corner()
-            assert can_shift == (not is_standard_position(e, a))
+            if len(missing) == 1 and missing[0] != e.max_corner():
+                movable.add(e)
+        assert {table.edge(k) for k, _, _ in maximal_moves(a)} == movable
 
 
 def test_normalize_fixpoint_and_bounds():
@@ -274,10 +291,7 @@ def test_normalize_fixpoint_and_bounds():
     assert len(records) <= sum(sum(v) for v in seed_set.cells())
     assert all(r.maximal for r in records)
     # Stable means every infecting edge sits in standard position.
-    for e in all_edges(shape, P22):
-        missing = [v for v in edge_vertices(e) if v not in stable]
-        if len(missing) == 1:
-            assert is_standard_position(e, stable)
+    assert maximal_moves(stable) == []
     again, more = normalize_max_shifts(stable, P22)
     assert again == stable and more == ()
 
@@ -295,10 +309,7 @@ def test_normalize_seeded_order_still_stabilizes():
     shape = GridShape((4, 4))
     a = random_percolating_set(shape, P22, 11)
     stable, _ = normalize_max_shifts(a, P22, seed=99)
-    for e in all_edges(shape, P22):
-        missing = [v for v in edge_vertices(e) if v not in stable]
-        if len(missing) == 1:
-            assert is_standard_position(e, stable)
+    assert maximal_moves(stable) == []
     assert len(stable) == len(a)
 
 
@@ -419,3 +430,168 @@ def test_stable_full_form_two_blocks():
     )
     expected, _ = full_form(a, P22)
     assert stable_full_form(a) == expected
+
+
+def test_rectangle_blocks():
+    shape = GridShape((3, 3))
+    a = CellSet.from_cells(shape, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)])
+    blocks = rectangle_blocks(a)
+    assert blocks == [((1, 2), (1, 2)), ((3,), (3,))]
+    # Overlapping but unequal row patterns are not a block union.
+    b = CellSet.from_cells(shape, [(1, 1), (1, 2), (2, 1)])
+    assert rectangle_blocks(b) is None
+    with pytest.raises(ValueError):
+        rectangle_blocks(CellSet.empty(GridShape((2, 2, 2))))
+
+
+def test_closures_decompose_into_blocks():
+    rng = random.Random(47)
+    shape = GridShape((5, 5))
+    for _ in range(60):
+        a = CellSet(shape, rng.getrandbits(cell_count(shape)))
+        closed, _ = full_form(a, P22)
+        assert rectangle_blocks(closed) is not None
+
+
+@pytest.mark.parametrize("dims", [(4,), (2, 2, 2)])
+def test_row_layer_rejects_other_dimensions(dims):
+    a = CellSet.full(GridShape(dims))
+    for f, name in ((rectangle_blocks, "rectangle_blocks"),
+                    (p_row_decomposition, "p_row_decomposition"),
+                    (stable_full_form, "p_row_decomposition")):
+        with pytest.raises(ValueError, match=f"^{name} needs a 2-dimensional set$"):
+            f(a)
+    with pytest.raises(ValueError, match="^repack_first_column needs a 2-dimensional set$"):
+        repack_first_column(a, P22)
+    with pytest.raises(ValueError, match="^needs a 2-dimensional set$"):
+        standardize_blocking_corner(a, P22)
+
+
+def test_repack_needs_t_columns():
+    a = CellSet.full(GridShape((4, 2)))
+    with pytest.raises(ValueError, match="^repack needs at least t=3 columns, got 2$"):
+        repack_first_column(a, Params(3, 2))
+
+
+def test_standardize_rejects_a_set_that_is_not_one_phase():
+    a = CellSet.from_cells(GridShape((3, 3)), [(1, 1), (2, 2)])
+    with pytest.raises(ValueError, match="^input must percolate in one phase$"):
+        standardize_blocking_corner(a, P22)
+
+
+# References: the row layer as it was before it read rows as column masks.
+# Each row is decoded into a set of columns, and sets are intersected
+# pairwise. The decode is memoized so that the four references share it.
+
+
+@lru_cache(maxsize=64)
+def ref_prow(a, row):
+    return {v[0] for v in p_slice(a, 1, row).cells()}
+
+
+def ref_rectangle_blocks(a):
+    if a.shape.d != 2:
+        raise ValueError("rectangle_blocks needs a 2-dimensional set")
+    rows = {}
+    for i in range(1, a.shape.dims[0] + 1):
+        pattern = tuple(sorted(ref_prow(a, i)))
+        if pattern:
+            rows.setdefault(pattern, []).append(i)
+    patterns = list(rows)
+    for p, q in combinations(patterns, 2):
+        if set(p) & set(q):
+            return None
+    return [(tuple(rows[p]), p) for p in sorted(patterns)]
+
+
+def ref_repack_first_column(a, params):
+    if a.shape.d != 2:
+        raise ValueError("repack_first_column needs a 2-dimensional set")
+    t = params.t
+    if a.shape.dims[1] < t:
+        raise ValueError(f"repack needs at least t={t} columns, got {a.shape.dims[1]}")
+    cells = []
+    for i in range(1, a.shape.dims[0] + 1):
+        row = ref_prow(a, i)
+        prefix = row & set(range(1, t + 1))
+        if 1 in row and len(prefix) < t:
+            target = min(set(range(1, t + 1)) - row)
+            row = (row - {1}) | {target}
+        cells.extend((i, j) for j in row)
+    return CellSet.from_cells(a.shape, cells)
+
+
+def ref_p_row_decomposition(a):
+    if a.shape.d != 2:
+        raise ValueError("p_row_decomposition needs a 2-dimensional set")
+    prows = {i: ref_prow(a, i) for i in range(1, a.shape.dims[0] + 1)}
+    for i, row in prows.items():
+        if not row:
+            raise ValueError(f"row {i} is empty; every row must be nonempty")
+    unassigned = set(prows)
+    classes = []
+    while unassigned:
+        seed_row = min(unassigned)
+        component = {seed_row}
+        frontier = [seed_row]
+        while frontier:
+            i = frontier.pop()
+            for j in list(unassigned - component):
+                if prows[i] & prows[j]:
+                    component.add(j)
+                    frontier.append(j)
+        unassigned -= component
+        classes.append(sorted(component))
+    classes.sort(key=lambda c: c[0])
+    reps, rep_rows = [], []
+    for cls in classes:
+        rep_row = cls[0]
+        rep = prows[rep_row]
+        for i in cls:
+            if not prows[i] <= rep:
+                raise ValueError(
+                    f"not maximal-shift stable: row {i} is not contained in the "
+                    f"representative row {rep_row}"
+                )
+        reps.append(tuple(sorted(rep)))
+        rep_rows.append(rep_row)
+    return PRowDecomposition(tuple(tuple(c) for c in classes), tuple(reps), tuple(rep_rows))
+
+
+def ref_stable_full_form(a):
+    decomp = ref_p_row_decomposition(a)
+    cells = []
+    for cls, rep in zip(decomp.classes, decomp.representatives):
+        cells.extend((i, j) for i in cls for j in rep)
+    return CellSet.from_cells(a.shape, cells)
+
+
+def outcome(f, *args):
+    """What a call returns, or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_row_layer_matches_set_reference_on_every_small_set():
+    # Every subset of every 2-D grid of at most 12 cells; the repack at
+    # t = 2 and t = 3 wherever the grid has enough columns.
+    pairs = [(rectangle_blocks, ref_rectangle_blocks),
+             (p_row_decomposition, ref_p_row_decomposition),
+             (stable_full_form, ref_stable_full_form)]
+    raised = decomposed = 0
+    for n1 in range(1, 13):
+        for n2 in range(1, 12 // n1 + 1):
+            shape = GridShape((n1, n2))
+            repacks = [Params(t, 2) for t in (2, 3) if t <= n2]
+            for bits in range(1 << n1 * n2):
+                a = CellSet(shape, bits)
+                for new, ref in pairs:
+                    got = outcome(new, a)
+                    assert got == outcome(ref, a), (new.__name__, a.cells())
+                raised += isinstance(got, tuple)
+                decomposed += not isinstance(got, tuple)
+                for params in repacks:
+                    assert repack_first_column(a, params) == ref_repack_first_column(a, params)
+    assert raised and decomposed
