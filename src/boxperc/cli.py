@@ -64,14 +64,13 @@ def _picture(trace: engine.PhaseTrace | engine.StepTrace, fmt: str) -> str:
     """A phase or step trace drawn in `fmt` ("ascii" or "svg"), one panel
     per stage; a step's panel marks the edge that witnessed it."""
     if isinstance(trace, engine.PhaseTrace):
-        stages, label, edges = list(trace.phases), "phase", None
+        stages, edges = list(trace.phases), None
     else:
-        stages, label, edges = [trace.start], "step", [e for _, e in trace.steps]
+        stages, edges = [trace.start], [e for _, e in trace.steps]
         for v, _ in trace.steps:
             stages.append(stages[-1].with_cells([v]))
-    if fmt == "ascii":
-        return render.ascii_stages(stages, label, edges=edges)
-    return render.svg_stages(stages, edges=edges)
+    draw = render.ascii_stages if fmt == "ascii" else render.svg_stages
+    return draw(stages, edges)
 
 
 def _instance_args(sub: argparse.ArgumentParser) -> None:

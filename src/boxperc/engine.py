@@ -26,6 +26,33 @@ here and the samplers of `search`. On it too stands `EdgeTable.moves`,
 the one source of shift moves: the shift search of `search`, the
 maximal-shift normal form of `transforms` and the shift battery of
 `verify` all read it.
+
+The closure has a second, bit-sliced form, for the exact search, which
+tests a block of candidate sets at once: column c is then the int whose
+bit j is set when candidate j holds cell c. `EdgeTable.sweep` ORs into
+each cell's column the candidates an edge infects it in, reading the
+table's units (`EdgeTable.units`) instead of its edges. An edge lies in
+one r-flat and is a product of t-sets, so it is the union of the boxes
+{y} x F over a t-set of points y on the flat's longest varying axis h,
+with F a product of t-sets on its other varying axes. A candidate missing
+cell v = (y, z), z in F, has an infecting edge of this form exactly when
+it holds the rest of v's box and the whole box {y'} x F at t - 1 points
+y' of h other than y. Counting y' = y as well is harmless: a candidate
+holding all of box y holds v already, so ORing into v's column changes
+nothing. Per (flat, F) unit a sweep therefore ANDs each box's columns,
+keeps the candidates with at least t - 1 full boxes (an OR at t = 2), and
+ORs them, ANDed with the rest of each cell's box, into the cell's column:
+the work goes with the n_h boxes of a unit, not with its C(n_h, t) edges.
+On the sweep stand the bit-sliced twins of `percolates` and `one_phase`.
+`first_percolating` sweeps in place until a sweep changes nothing; each
+cell's column then holds the candidates whose closure contains it, and a
+candidate percolates when it is set in every column. Columns only grow,
+so a candidate set in every column after any sweep already percolates:
+the sweeps go on over the candidates below the first such one alone, and
+stop at once when none is left there. `first_one_phase` makes one sweep
+that reads only the start columns. The sweep pays only across many
+candidates: a single set closes faster through the scalar `percolates`.
+
 `EdgeTable.edge(k)` is the one way from an edge index to its `Edge`: it
 decodes edge k's index sets from the layout on first request and hands
 the same object to every later caller. Witnesses (`infecting_edge`, step
@@ -48,8 +75,9 @@ import math
 import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import combinations, product
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate, combinations, product
+from operator import and_, or_
 from typing import Iterator, Optional
 
 from .lattice import (
@@ -58,6 +86,7 @@ from .lattice import (
     GridShape,
     Params,
     Vertex,
+    as_int,
     cell_count,
     check_compatible,
     check_vertex,
@@ -96,13 +125,16 @@ class StepTrace:
 class EdgeTable:
     """Every hyperedge of one (shape, params) pair, in the documented order.
 
-    The table stores `masks[k]`, the occupancy bitmask of edge k, the
-    block layout and `full`, the mask of every cell; everything else is
-    derived from them. The scalar scan over the edge columns lives here:
-    `single_missing`, `phases`, `percolates`, `one_phase` and the shift
-    moves, `moves`, each over a set given as its cell bits. `edge(k)`
-    decodes edge k on first request.
-    The search kernel's units (`units`: per r-flat and t-box F, the boxes
+    The table stores its `params`, `masks[k]`, the occupancy bitmask of
+    edge k, the block layout and `full`, the mask of every cell;
+    everything else is derived from them. The scalar scan over the edge
+    columns lives here: `single_missing`, `phases`, `percolates`,
+    `one_phase` and the shift moves, `moves`, each over a set given as its
+    cell bits. So does the bit-sliced kernel, `sweep`, with its
+    predicates `first_percolating` and `first_one_phase`, each over a
+    block of candidates given as one column per cell. `edge(k)` decodes
+    edge k on first request.
+    The kernel's units (`units`: per r-flat and t-box F, the boxes
     {y} x F along the flat's longest varying axis) and the per-cell edge
     columns (`columns`) are built from the layout on first use and kept.
     Step traces compute the edges through a cell from the layout instead
@@ -125,8 +157,11 @@ class EdgeTable:
     its line's entries plus each rank in held[-1] at its coordinate there.
     """
 
-    def __init__(self, shape: GridShape, masks: tuple[int, ...], blocks: tuple) -> None:
+    def __init__(
+        self, shape: GridShape, params: Params, masks: tuple[int, ...], blocks: tuple
+    ) -> None:
         self.shape = shape
+        self.params = params
         self.masks = masks
         self.blocks = blocks
         self.full = (1 << cell_count(shape)) - 1
@@ -225,9 +260,105 @@ class EdgeTable:
         """True when the first phase after `bits` is every cell."""
         return next(self.phases(bits), bits) == self.full
 
+    def sweep(self, src: list[int], dst: list[int]) -> bool:
+        """One sweep of the units over candidate columns: OR into dst each
+        cell that an edge infects from src; True when some column of dst
+        grew. dst must hold src, column by column.
+
+        A unit is an r-flat with a t-box F on its varying axes but h, given as
+        the boxes {y} x F along h. Per unit, `full` is the AND over each box,
+        and `u` the candidates with at least t - 1 full boxes: an OR at t = 2,
+        a saturating count in t - 1 bit-sliced thresholds above. Each cell then
+        gains `u` ANDed with the rest of its box. That is exactly what the
+        unit's edges infect: the candidates that `u` counts with the cell's own
+        box full hold the cell already.
+
+        Each unit reads its columns from src once, before it writes any, so
+        with src is dst the units act in turn on the columns the earlier ones
+        left: a sweep then covers at least one phase, and repeated sweeps reach
+        the closure. A one-cell box (r = 1) and a two-cell box take
+        straight-line code; a larger box takes prefix ANDs and a running
+        suffix AND from `u`.
+        """
+        units, t = self.units, self.params.t
+        before = dst[:]
+        box = len(units[0][0]) if units else 0
+        for rows in units:
+            if box == 1:
+                full = [src[c] for c, in rows]
+            elif box == 2:
+                xss = [(src[a], src[b]) for a, b in rows]
+                full = [x & y for x, y in xss]
+            else:
+                xss = [[src[c] for c in row] for row in rows]
+                # pres[y][i]: the AND of box y's columns up to cell i.
+                pres = [[*accumulate(xs, and_)] for xs in xss]
+                full = [pre[-1] for pre in pres]
+            if t == 2:
+                u = reduce(or_, full)
+            else:
+                # at[i]: the candidates with more than i full boxes so far.
+                at = [0] * (t - 1)
+                for f in full:
+                    for i in range(t - 2, 0, -1):
+                        at[i] |= at[i - 1] & f
+                    at[0] |= f
+                u = at[-1]
+            if not u:
+                continue
+            if box == 1:
+                for c, in rows:
+                    dst[c] |= u
+            elif box == 2:
+                for (a, b), (x, y) in zip(rows, xss):
+                    dst[a] |= u & y
+                    dst[b] |= u & x
+            else:
+                for row, xs, pre in zip(rows, xss, pres):
+                    # suf: u ANDed with the columns of the cells after cell i.
+                    suf = u
+                    for i in range(box - 1, 0, -1):
+                        dst[row[i]] |= pre[i - 1] & suf
+                        suf &= xs[i]
+                    dst[row[0]] |= suf
+        return dst != before
+
+    def first_percolating(self, cols: list[int], want: int) -> int:
+        """The first of the wanted candidates that percolates, as its bit,
+        or 0: `percolates` over candidate columns (bit j of cols[c] set
+        when candidate j holds cell c) and a mask `want` of candidates.
+
+        Sweeps in place until nothing grows: each column is then the
+        candidates whose closure holds that cell. Columns only grow, so a
+        wanted candidate set in every column after any sweep percolates.
+        The lowest one is kept, and only the candidates below it go on; the
+        sweeps stop at once when none of those is left.
+        """
+        closed = list(cols)
+        first = 0
+        while True:
+            full = reduce(and_, closed, want)
+            if full:
+                first = full & -full
+                lim = first - 1
+                want &= lim
+                if not want:
+                    return first
+                closed = [c & lim for c in closed]
+            if not self.sweep(closed, closed):
+                return first
+
+    def first_one_phase(self, cols: list[int], want: int) -> int:
+        """The wanted candidates whose first phase is every cell, the first
+        of them lowest: `one_phase` over candidate columns, in one sweep
+        that reads only the start columns."""
+        phase = list(cols)
+        self.sweep(cols, phase)
+        return reduce(and_, phase, want)
+
     @cached_property
     def units(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """The edges regrouped as the search kernel reads them: one unit per
+        """The edges regrouped as `sweep` reads them: one unit per
         r-flat (a block and its fixed coordinates) and t-box F, a t-set on
         each varying axis but h, the block's longest varying axis (the
         first of the longest). A unit lists the boxes {y} x F for y along h,
@@ -238,7 +369,7 @@ class EdgeTable:
         is such a union in exactly one unit. A set lacking cell v = (y, z),
         z in F, therefore has an edge of the unit that infects v exactly
         when it holds the rest of box y and all of box y' at t - 1 points
-        y' != y. The search counts full boxes without excluding box y,
+        y' != y. `sweep` counts full boxes without excluding box y,
         which is harmless: a set holding all of box y holds v already. A
         block with an axis shorter than t holds no edge and gives no unit.
         """
@@ -355,7 +486,7 @@ def _edge_table(shape: GridShape, params: Params) -> EdgeTable:
         # With no fixed axis the boxes are the masks: shifting each by 0
         # would copy every one while the boxes are still held.
         masks.extend(boxes if not others else [b << o for b in boxes for o in offsets])
-    return EdgeTable(shape, tuple(masks), tuple(blocks))
+    return EdgeTable(shape, params, tuple(masks), tuple(blocks))
 
 
 def all_edges(shape: GridShape, params: Params) -> tuple[Edge, ...]:
@@ -409,7 +540,8 @@ def step_by_step(a: CellSet, params: Params, seed: Optional[int] = None) -> Step
 
     With seed None the lexicographically least infectable vertex is chosen
     each step; with an integer seed the choice is uniform under a seeded
-    generator. The terminal set never depends on the choices.
+    generator (a bool, a float or a string seed raises). The terminal set
+    never depends on the choices.
 
     Each edge keeps its count of uninfected cells. An edge with one
     uninfected cell makes that cell infectable, and infecting a cell
@@ -436,7 +568,7 @@ def step_by_step(a: CellSet, params: Params, seed: Optional[int] = None) -> Step
     for _, axes, _, _, _, held, lines in table.blocks:
         i = axes[-1]
         layout.append((lines, strides[i] * dims[i], strides[i], dims[i], held[-1]))
-    rng = random.Random(seed) if seed is not None else None
+    rng = random.Random(as_int(seed)) if seed is not None else None
     inv = ~a.bits
     missing = [(m & inv).bit_count() for m in masks]
     # Infectable cell -> its least witness edge; the keys, ascending, are

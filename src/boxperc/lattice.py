@@ -15,8 +15,10 @@ The row-major layout is defined here and only here: the vertex codec
 table build also reads), the edge and slice masks, and `relabel_axis`. A
 slice along an axis is one run of bits per block of the earlier axes, so
 `relabel_axis` moves, merges or drops whole slices with shifts and masks;
-every slice surgery (projection, slice permutation, union and removal)
-is one call to it.
+slice permutation, union and removal are one call to it each. A slice
+projection (`p_slice`, and `project` through it) shifts the slice onto
+the first and packs the first runs once. Every slice index is read by
+`slice_index`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -105,6 +107,17 @@ def axis_length(shape: GridShape, axis: int) -> int:
     if not 1 <= axis <= shape.d:
         raise ValueError(f"axis {axis} out of range for shape {shape.dims}")
     return shape.dims[axis - 1]
+
+
+def slice_index(shape: GridShape, axis: int, value: int) -> int:
+    """`value` as a 1-based slice index on `axis`, which it returns; raises
+    for an axis outside 1..d, for a value outside 1..n_axis and for
+    either one that is not an integer."""
+    n = axis_length(shape, axis)
+    value = as_int(value)
+    if not 1 <= value <= n:
+        raise ValueError(f"slice index {value} out of range on axis {axis}")
+    return value
 
 
 def row_strides(dims: tuple[int, ...]) -> list[int]:
@@ -331,19 +344,19 @@ def edge_mask(edge: Edge, shape: GridShape) -> int:
     return bits
 
 
-@lru_cache(maxsize=4096)
+# Typed keys: an untyped cache would answer (shape, 1, True) or
+# (shape, 1, 1.0) from the entry for (shape, 1, 1) before the check ran.
+@lru_cache(maxsize=4096, typed=True)
 def slice_mask(shape: GridShape, axis: int, value: int) -> int:
     """Occupancy mask of the whole slice coord[axis] == value (1-based)."""
-    n_axis = axis_length(shape, axis)
-    if not 1 <= value <= n_axis:
-        raise ValueError(f"slice index {value} out of range on axis {axis}")
+    value = slice_index(shape, axis, value)
+    n_axis = shape.dims[axis - 1]
     outer = math.prod(shape.dims[: axis - 1])
     inner = math.prod(shape.dims[axis:])
     run = (1 << inner) - 1
     bits = 0
     for o in range(outer):
-        offset = (o * n_axis + (value - 1)) * inner
-        bits |= run << offset
+        bits |= run << (o * n_axis + value - 1) * inner
     return bits
 
 
@@ -363,8 +376,9 @@ def relabel_axis(a: CellSet, axis: int, to: Sequence[int]) -> CellSet:
     """
     dims = a.shape.dims
     n = axis_length(a.shape, axis)
+    to = tuple(map(as_int, to))
     if len(to) != n or min(to) < 0 or max(to) > n:
-        raise ValueError(f"{tuple(to)} does not relabel the {n} slices of axis {axis}")
+        raise ValueError(f"{to} does not relabel the {n} slices of axis {axis}")
     m = max(to)
     inner = math.prod(dims[axis:])
     first = slice_mask(a.shape, axis, 1)
@@ -396,29 +410,31 @@ def project(a: CellSet, axis: int) -> CellSet:
     """Drop the given coordinate from every member.
 
     Members from different slices may collapse; the result is the union of
-    the per-slice projections, on the (d-1)-dimensional shape.
+    the per-slice projections, on the (d-1)-dimensional shape. Slice v + 1
+    shifted down v runs lies on slice 1, so the OR of those shifts holds
+    the union there, and its slice 1 is the projection.
     """
-    return _squash(a, axis, [1] * axis_length(a.shape, axis))
+    n = axis_length(a.shape, axis)
+    inner = math.prod(a.shape.dims[axis:])
+    return p_slice(CellSet(a.shape, reduce(operator.or_, (a.bits >> v * inner for v in range(n)))),
+                   axis, 1)
 
 
 def p_slice(a: CellSet, axis: int, value: int) -> CellSet:
     """Projection of one slice: the slice content seen on the reduced shape.
-    The value is an integer; a bool, a float or a string raises."""
-    n = axis_length(a.shape, axis)
-    value = as_int(value)
-    if not 1 <= value <= n:
-        raise ValueError(f"slice index {value} out of range on axis {axis}")
-    return _squash(a, axis, [int(c == value) for c in range(1, n + 1)])
+    The value is an integer; a bool, a float or a string raises.
 
-
-def _squash(a: CellSet, axis: int, to: list[int]) -> CellSet:
-    """Relabel the slices along `axis` onto position 1 or drop them, then
-    drop the axis: one of length 1 adds nothing to a row-major index, so
-    the bits stay."""
+    Shifted down value - 1 runs, the slice is the first run of each block
+    of the earlier axes, and packing those runs drops the axis.
+    """
+    value = slice_index(a.shape, axis, value)
     if a.shape.d == 1:
         raise ValueError("cannot project a one-dimensional grid")
     dims = a.shape.dims
-    return CellSet(GridShape(dims[: axis - 1] + dims[axis:]), relabel_axis(a, axis, to).bits)
+    inner = math.prod(dims[axis:])
+    bits = _pack(a.bits >> (value - 1) * inner, math.prod(dims[: axis - 1]),
+                 dims[axis - 1] * inner, inner)
+    return CellSet(GridShape(dims[: axis - 1] + dims[axis:]), bits)
 
 
 def permute_slices(a: CellSet, axis: int, order: Iterable[int]) -> CellSet:

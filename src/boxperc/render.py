@@ -89,15 +89,15 @@ def ascii_grid(
 
 
 def ascii_stages(
-    stages: Sequence[CellSet],
-    label: str = "phase",
-    edges: Optional[Sequence[Optional[Edge]]] = None,
+    stages: Sequence[CellSet], edges: Optional[Sequence[Optional[Edge]]] = None
 ) -> str:
     """Stacked grids, one per stage, newly infected cells marked '*'.
 
-    For step traces pass `edges` (one per stage after the first): each
-    panel then highlights the hyperedge that witnessed its step.
+    Panels are labelled "phase k". For step traces pass `edges` (one per
+    stage after the first): panels are then labelled "step k", and each
+    highlights the hyperedge that witnessed its step.
     """
+    label = "phase" if edges is None else "step"
     return "\n".join(f"{label} {k}:\n" + ascii_grid(*entry)
                      for k, entry in enumerate(_stage_entries(stages, edges)))
 

@@ -15,27 +15,13 @@ with cell m - 1 added, so each column is an OR of shifted columns of
 smaller layers, and a layer too large for one block splits by the same
 rule into blocks that follow each other in colex order.
 
-The predicates become column arithmetic over the edge table's units
-(`EdgeTable.units`). An edge lies in one r-flat and is a product of
-t-sets, so it is the union of the boxes {y} x F over a t-set of points y
-on the flat's longest varying axis h, with F a product of t-sets on its
-other varying axes. A candidate missing cell v = (y, z), z in F, has an
-infecting edge of this form exactly when it holds the rest of v's box
-and the whole box {y'} x F at t - 1 points y' of h other than y. Counting
-y' = y as well is harmless: a candidate holding all of box y holds v
-already, so ORing into v's column changes nothing. Per (flat, F) unit the
-kernel therefore ANDs each box's columns, keeps the candidates with at
-least t - 1 full boxes (an OR at t = 2), and ORs them, ANDed with the
-rest of each cell's box, into the cell's column: the work goes with the
-n_h boxes of a unit, not with its C(n_h, t) edges. Percolation repeats
-this in place until a sweep changes nothing; the column of each cell
-then holds the candidates whose closure contains it, and a candidate
-percolates when it is set in every column. Columns only grow, so a
-candidate set in every column after any sweep already percolates: the
-sweeps then go on over the candidates below the first such one alone,
-and stop at once when no live one is left there. One phase makes one
-pass that reads only the start columns. The empty-slice prune keeps the
-candidates set in some column of every row and column.
+The predicates are the edge table's bit-sliced ones,
+`EdgeTable.first_percolating` and `EdgeTable.first_one_phase`, which read
+a block's columns and the candidates the budget reaches and give the
+first that meets the target; this module never reads the edges. For
+d = r = 2 and t = 2, the empty-slice prune first keeps only the
+candidates set in some column of every row and column: a proper subset
+with an empty row or column never percolates.
 
 The report is read off the block with popcounts: the witness is the first
 candidate that is live (not pruned) and meets the target, `checks` counts
@@ -50,10 +36,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from itertools import accumulate
+from functools import lru_cache
 from math import comb
-from operator import and_, or_
 from typing import Callable, Iterator, Optional
 
 from .constructions import l_set
@@ -169,70 +153,6 @@ def _layer_blocks(n: int, k: int, memo: dict) -> Iterator[tuple[int, list[int]]]
         yield size, [*cols, *(ones if top >> c & 1 else 0 for c in range(m, n))]
 
 
-def _infect(src: list[int], dst: list[int], units, t: int) -> bool:
-    """One sweep of the edge table's units (`EdgeTable.units`, edges of
-    parameter t) over the candidate columns: OR into dst each cell that an
-    edge infects from src; True when some column of dst grew. dst must hold
-    src, column by column.
-
-    A unit is an r-flat with a t-box F on its varying axes but h, given as
-    the boxes {y} x F along h. Per unit, `full` is the AND over each box,
-    and `u` the candidates with at least t - 1 full boxes: an OR at t = 2,
-    a saturating count in t - 1 bit-sliced thresholds above. Each cell then
-    gains `u` ANDed with the rest of its box. That is exactly what the
-    unit's edges infect: the candidates that `u` counts with the cell's own
-    box full hold the cell already.
-
-    Each unit reads its columns from src once, before it writes any, so
-    with src is dst the units act in turn on the columns the earlier ones
-    left: a sweep then covers at least one phase, and repeated sweeps reach
-    the closure. A one-cell box (r = 1) and a two-cell box take
-    straight-line code; a larger box takes prefix ANDs and a running
-    suffix AND from `u`.
-    """
-    before = dst[:]
-    box = len(units[0][0]) if units else 0
-    for rows in units:
-        if box == 1:
-            full = [src[c] for c, in rows]
-        elif box == 2:
-            xss = [(src[a], src[b]) for a, b in rows]
-            full = [x & y for x, y in xss]
-        else:
-            xss = [[src[c] for c in row] for row in rows]
-            # pres[y][i]: the AND of box y's columns up to cell i.
-            pres = [[*accumulate(xs, and_)] for xs in xss]
-            full = [pre[-1] for pre in pres]
-        if t == 2:
-            u = reduce(or_, full)
-        else:
-            # at[i]: the candidates with more than i full boxes so far.
-            at = [0] * (t - 1)
-            for f in full:
-                for i in range(t - 2, 0, -1):
-                    at[i] |= at[i - 1] & f
-                at[0] |= f
-            u = at[-1]
-        if not u:
-            continue
-        if box == 1:
-            for c, in rows:
-                dst[c] |= u
-        elif box == 2:
-            for (a, b), (x, y) in zip(rows, xss):
-                dst[a] |= u & y
-                dst[b] |= u & x
-        else:
-            for row, xs, pre in zip(rows, xss, pres):
-                # suf: u ANDed with the columns of the cells after cell i.
-                suf = u
-                for i in range(box - 1, 0, -1):
-                    dst[row[i]] |= pre[i - 1] & suf
-                    suf &= xs[i]
-                dst[row[0]] |= suf
-    return dst != before
-
-
 def _prune_empty_slice(
     shape: GridShape, params: Params
 ) -> Optional[Callable[[list[int], int], int]]:
@@ -332,56 +252,22 @@ def _min_size(
     raise AssertionError("the full grid always satisfies both targets")
 
 
-def min_percolating_size(
-    shape: GridShape,
-    params: Params,
-    budget: int = DEFAULT_BUDGET,
-) -> SearchReport:
+def min_percolating_size(shape: GridShape, params: Params,
+                         budget: int = DEFAULT_BUDGET) -> SearchReport:
     """Exact minimum size of a percolating set, by ascending enumeration."""
-    units = _edge_table(shape, params).units
-
-    def hits(cols: list[int], want: int) -> int:
-        # Infect in place until nothing grows: each column is then the
-        # candidates whose closure holds that cell. Columns only grow, so a
-        # wanted candidate set in every column percolates. The lowest one
-        # is kept, and only the candidates below it go on.
-        closed = list(cols)
-        first = 0
-        while True:
-            full = reduce(and_, closed, want)
-            if full:
-                first = full & -full
-                lim = first - 1
-                want &= lim
-                if not want:
-                    return first
-                closed = [c & lim for c in closed]
-            if not _infect(closed, closed, units, params.t):
-                return first
-
-    return _min_size(
-        shape, params, "percolate", hits, budget, _prune_empty_slice(shape, params)
-    )
+    return _min_size(shape, params, "percolate", _edge_table(shape, params).first_percolating,
+                     budget, _prune_empty_slice(shape, params))
 
 
-def min_one_phase_size(
-    shape: GridShape,
-    params: Params,
-    budget: int = DEFAULT_BUDGET,
-) -> SearchReport:
+def min_one_phase_size(shape: GridShape, params: Params,
+                       budget: int = DEFAULT_BUDGET) -> SearchReport:
     """Exact minimum size of a set whose first phase already covers the grid."""
-    units = _edge_table(shape, params).units
-
-    def hits(cols: list[int], want: int) -> int:
-        phase = list(cols)
-        _infect(cols, phase, units, params.t)
-        return reduce(and_, phase, want)
-
-    return _min_size(shape, params, "one-phase", hits, budget, None)
+    return _min_size(shape, params, "one-phase", _edge_table(shape, params).first_one_phase,
+                     budget, None)
 
 
 def _reverse_deletion(shape: GridShape, seed: int, keeps: Callable[[int], bool]) -> CellSet:
-    rng = random.Random(seed)
+    rng = random.Random(as_int(seed))
     n = cell_count(shape)
     order = list(range(n))
     rng.shuffle(order)
@@ -396,12 +282,14 @@ def _reverse_deletion(shape: GridShape, seed: int, keeps: Callable[[int], bool])
 def random_percolating_set(shape: GridShape, params: Params, seed: int) -> CellSet:
     """Deletion-minimal percolating set: walk the cells in seeded random
     order, dropping each cell whose removal keeps the set percolating.
-    Deterministic for a given seed."""
+    Deterministic for a given seed, an integer: a bool, a float, a string
+    or None raises."""
     return _reverse_deletion(shape, seed, _edge_table(shape, params).percolates)
 
 
 def random_one_phase_set(shape: GridShape, params: Params, seed: int) -> CellSet:
-    """Deletion-minimal set that still covers the grid in a single phase."""
+    """Deletion-minimal set that still covers the grid in a single phase,
+    seeded as `random_percolating_set` is."""
     return _reverse_deletion(shape, seed, _edge_table(shape, params).one_phase)
 
 

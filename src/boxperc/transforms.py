@@ -27,6 +27,7 @@ from .lattice import (
     GridShape,
     Params,
     Vertex,
+    as_int,
     axis_length,
     check_vertex,
     edge_mask,
@@ -34,6 +35,7 @@ from .lattice import (
     p_slice,
     permute_slices,
     relabel_axis,
+    slice_index,
     slice_mask,
     unchecked_index,
     unchecked_vertex,
@@ -84,11 +86,9 @@ def union_slices(a: CellSet, axis: int, m1: int, m2: int) -> CellSet:
     The union lands at position min(m1, m2); later slices shift down one.
     """
     n = axis_length(a.shape, axis)
+    m1, m2 = slice_index(a.shape, axis, m1), slice_index(a.shape, axis, m2)
     if m1 == m2:
         raise ValueError("need two distinct slices to merge")
-    for m in (m1, m2):
-        if not 1 <= m <= n:
-            raise ValueError(f"slice index {m} out of range on axis {axis}")
     lo, hi = sorted((m1, m2))
     to = [c - (c > hi) for c in range(1, n + 1)]
     to[hi - 1] = lo
@@ -98,8 +98,7 @@ def union_slices(a: CellSet, axis: int, m1: int, m2: int) -> CellSet:
 def remove_slice(a: CellSet, axis: int, m: int) -> CellSet:
     """Delete slice m along `axis`; later slices shift down one."""
     n = axis_length(a.shape, axis)
-    if not 1 <= m <= n:
-        raise ValueError(f"slice index {m} out of range on axis {axis}")
+    m = slice_index(a.shape, axis, m)
     if n == 1:
         raise ValueError("cannot remove the only slice of an axis")
     to = [c - (c > m) for c in range(1, n + 1)]
@@ -245,10 +244,11 @@ def normalize_max_shifts(
 
     The candidates are the maximal moves of `EdgeTable.moves`, ordered by
     missing vertex, then edge. With seed None the least is chosen each
-    step; a seeded generator picks among them otherwise (the terminal set
-    may then differ, but is always stable).
+    step; a generator seeded with the integer `seed` picks among them
+    otherwise (the terminal set may then differ, but is always stable). A
+    bool, a float or a string seed raises.
     """
-    rng = random.Random(seed) if seed is not None else None
+    rng = random.Random(as_int(seed)) if seed is not None else None
     table = _edge_table(a.shape, params)
     bits = a.bits
     records: list[ShiftRecord] = []

@@ -192,7 +192,7 @@ def test_ascii_step_stages_highlight_witness_edges():
     a = CellSet.from_cells(shape, [(1, 1), (1, 2), (2, 1)])
     trace = step_by_step(a, params)
     stages = [a, trace.terminal]
-    art = render.ascii_stages(stages, "step", edges=[trace.steps[0][1]])
+    art = render.ascii_stages(stages, edges=[trace.steps[0][1]])
     # The infected cell stays '*', its edge mates show as 'o'.
     assert art == ("step 0:\n##\n#.\n\nstep 1:\noo\no*\n")
 
@@ -542,7 +542,7 @@ def test_ascii_stages_match_per_cell_reference(data):
     for v, _ in trace.steps:
         stages.append(stages[-1].with_cells([v]))
     edges = [e for _, e in trace.steps]
-    assert render.ascii_stages(stages, "step", edges=edges) == naive_ascii_stages(stages, "step", edges)
+    assert render.ascii_stages(stages, edges=edges) == naive_ascii_stages(stages, "step", edges)
     phases = list(full_form(a, params)[1].phases)
     assert render.ascii_stages(phases) == naive_ascii_stages(phases, "phase", None)
     # The SVG draws one rectangle per infected cell, light for the newly

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxperc.engine import step_by_step
 from boxperc.lattice import (
     CellSet,
     Edge,
@@ -18,12 +19,15 @@ from boxperc.lattice import (
     p_slice,
     permute_slices,
     project,
+    relabel_axis,
     slice_cells,
     unchecked_index,
     unchecked_vertex,
     validate_edge,
     vertex_at,
 )
+from boxperc.search import random_one_phase_set, random_percolating_set
+from boxperc.transforms import normalize_max_shifts, remove_slice, union_slices
 
 
 def test_shape_validation():
@@ -55,6 +59,10 @@ def test_params_validation():
         check_compatible(GridShape((2, 2)), Params(2, 3))
 
 
+# The 3x3 set that the slice and seed cases below act on.
+A3 = CellSet.from_cells(GridShape((3, 3)), [(1, 1), (2, 3), (3, 2)])
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -82,12 +90,32 @@ def test_params_validation():
         lambda: p_slice(CellSet.full(GridShape((3, 3))), True, 1),
         lambda: p_slice(CellSet.full(GridShape((3, 3))), 1, True),
         lambda: permute_slices(CellSet.full(GridShape((3, 3))), 1, [True, 3, 2]),
+        # Every slice index goes through one reader, and so does each entry
+        # of a relabelling.
+        lambda: union_slices(A3, 1, True, 3),
+        lambda: union_slices(A3, 1, 1, 3.0),
+        lambda: remove_slice(A3, 1, True),
+        lambda: remove_slice(A3, 1, 2.0),
+        lambda: slice_cells(A3, 1, True),
+        lambda: slice_cells(A3, 1, "2"),
+        lambda: relabel_axis(A3, 1, [1, True, 0]),
+        lambda: relabel_axis(A3, 1, [1, 2.0, 0]),
+        # The slice masks are cached: an entry for slice 1 must not answer
+        # slice True or 1.0.
+        lambda: (slice_cells(A3, 1, 1), slice_cells(A3, 1, True)),
+        lambda: (slice_cells(A3, 2, 1), slice_cells(A3, 2, 1.0)),
+        # A seed is an integer too.
+        lambda: step_by_step(A3, Params(2, 2), seed=True),
+        lambda: step_by_step(A3, Params(2, 2), seed=2.5),
+        lambda: normalize_max_shifts(A3, Params(2, 2), seed="x"),
+        lambda: random_percolating_set(GridShape((3, 3)), Params(2, 2), True),
+        lambda: random_one_phase_set(GridShape((3, 3)), Params(2, 2), 2.5),
     ],
 )
 def test_constructors_reject_floats_and_strings(build):
     # A float is not truncated, a string is not parsed and a bool is not
-    # an integer: all raise.
-    with pytest.raises(TypeError):
+    # an integer: all raise, from the one integer reader (`as_int`).
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         build()
 
 
@@ -274,6 +302,38 @@ def test_project_examples():
     # Projection of one slice is that row seen on the reduced shape.
     b = CellSet.from_cells(shape, [(1, 2), (2, 3), (2, 6)])
     assert p_slice(b, 1, 2).cells() == [(3,), (6,)]
+
+
+def test_slices_and_projections_match_a_per_cell_reference():
+    # Every slice and the projection on every axis of random 1-D to 4-D
+    # sets: a cell w of the reduced shape is in p_slice(a, axis, v) when w
+    # with v put back at `axis` is in a, and in the projection when that
+    # holds for some v.
+    rng = random.Random(11)
+    for dims in ((4,), (1, 5), (3, 4), (4, 1), (2, 3, 2), (3, 1, 4), (2, 2, 3, 2), (3, 2, 1, 2)):
+        shape = GridShape(dims)
+        for _ in range(4):
+            a = CellSet(shape, rng.getrandbits(cell_count(shape)))
+            for axis in range(1, len(dims) + 1):
+                n = dims[axis - 1]
+                if len(dims) == 1:
+                    with pytest.raises(ValueError, match="cannot project a one-dimensional grid"):
+                        project(a, axis)
+                    for v in range(1, n + 1):
+                        with pytest.raises(ValueError, match="cannot project a one-dimensional grid"):
+                            p_slice(a, axis, v)
+                    continue
+                reduced = GridShape(dims[: axis - 1] + dims[axis:])
+                cells = CellSet.full(reduced).cells()
+
+                def lifted(w, v):
+                    return w[: axis - 1] + (v,) + w[axis - 1:]
+
+                for v in range(1, n + 1):
+                    want = [w for w in cells if lifted(w, v) in a]
+                    assert p_slice(a, axis, v) == CellSet.from_cells(reduced, want), (dims, axis, v)
+                want = [w for w in cells if any(lifted(w, v) in a for v in range(1, n + 1))]
+                assert project(a, axis) == CellSet.from_cells(reduced, want), (dims, axis)
 
 
 def test_project_merges_collapsing_cells():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from functools import reduce
 from itertools import accumulate, combinations
 from operator import and_
 from unittest import mock
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from boxperc import search
 from boxperc.constructions import l_set, m_formula
 from boxperc.engine import (
+    EdgeTable,
     _edge_table,
     all_edges,
     full_form,
@@ -372,7 +374,7 @@ def naive_closure(cols, edges, width):
     ((2, 2, 2), 2, 1, 2), ((3, 3), 2, 2, 4), ((2, 2, 2), 2, 3, 8), ((3, 3), 3, 2, 9)])
 def test_infect_matches_a_candidate_by_candidate_reference(dims, t, r, size):
     shape = GridShape(dims)
-    units = _edge_table(shape, Params(t, r)).units
+    sweep = _edge_table(shape, Params(t, r)).sweep
     edges = edge_cells(shape, Params(t, r))
     assert {len(cells) for cells in edges} == {size}
     n, width = cell_count(shape), 40
@@ -390,7 +392,7 @@ def test_infect_matches_a_candidate_by_candidate_reference(dims, t, r, size):
         while True:
             phase = naive_infect(cols, cols[:], edges, width)[0]
             before = list(cols)
-            grew = search._infect(cols, cols, units, t)
+            grew = sweep(cols, cols)
             assert grew == (cols != before)
             assert all(p & ~c == 0 and c & ~f == 0 for p, c, f in zip(phase, cols, closure))
             if not grew:
@@ -404,10 +406,10 @@ def test_infect_matches_a_candidate_by_candidate_reference(dims, t, r, size):
         src = [full] * n
         src[c] = column(0.5)
         got = list(src)
-        assert (got, search._infect(src, got, units, t)) == naive_infect(src, src[:], edges, width)
+        assert (got, sweep(src, got)) == naive_infect(src, src[:], edges, width)
         assert got == [full] * n
         got = list(src)
-        assert search._infect(got, got, units, t) == (src[c] != full)
+        assert sweep(got, got) == (src[c] != full)
         assert got == [full] * n
     for density in (0.5, 0.8, 0.95):
         src = [column(density) for _ in range(n)]
@@ -415,7 +417,7 @@ def test_infect_matches_a_candidate_by_candidate_reference(dims, t, r, size):
         dst = [column(density) | col for col in src]
         expected = naive_infect(src, dst, edges, width)
         got = list(dst)
-        assert (got, search._infect(src, got, units, t)) == expected
+        assert (got, sweep(src, got)) == expected
         assert_sweeps_reach_the_closure(src)
 
 
@@ -440,7 +442,7 @@ def test_infect_matches_the_edge_by_edge_kernel(inst, seed, percent, extra):
     # 64-candidate blocks: one phase into a dst that holds src, and sweeps
     # in place to the fixpoint, against the kernel the units replaced.
     shape, params = inst
-    units = _edge_table(shape, params).units
+    sweep = _edge_table(shape, params).sweep
     edges = edge_cells(shape, params)
     n, width = cell_count(shape), 64
     rng = random.Random(seed)
@@ -452,14 +454,65 @@ def test_infect_matches_the_edge_by_edge_kernel(inst, seed, percent, extra):
     dst = [col | column(extra / 100) for col in src]
     want = list(dst)
     got = list(dst)
-    assert search._infect(src, got, units, params.t) == edge_infect(src, want, edges)
+    assert sweep(src, got) == edge_infect(src, want, edges)
     assert got == want
     want, got = list(src), list(src)
     while edge_infect(want, want, edges):
         pass
-    while search._infect(got, got, units, params.t):
+    while sweep(got, got):
         pass
     assert got == want
+
+
+def small_grids(max_cells, max_d):
+    """Every shape of at most `max_cells` cells and `max_d` axes whose axis
+    lengths do not decrease."""
+    def grow(dims, cells):
+        if dims:
+            yield dims
+        if len(dims) < max_d:
+            for n in range(dims[-1] if dims else 1, max_cells // cells + 1):
+                yield from grow(dims + (n,), cells * n)
+
+    return list(grow((), 1))
+
+
+def test_bit_sliced_predicates_match_the_scalar_ones_on_every_subset():
+    # Every subset of every grid of at most 12 cells, 1-D to 4-D, with
+    # t = 2, 3 and every r, one colex layer at a time. Sweeping a layer's
+    # block to the fixpoint and ANDing the columns marks the subsets that
+    # EdgeTable.percolates accepts; one sweep from the start columns marks
+    # those that one_phase accepts; the first_* predicates return the
+    # lowest of them. The axis lengths are taken in one order only: every
+    # order of the 254 shapes takes about six times as long.
+    grids = small_grids(12, 4)
+    assert len(grids) == 73 and {len(dims) for dims in grids} == {1, 2, 3, 4}
+    subsets = {}
+    for dims in grids:
+        n = math.prod(dims)
+        for t in (2, 3):
+            for r in range(1, len(dims) + 1):
+                table = _edge_table(GridShape(dims), Params(t, r))
+                memo = {}
+                for k in range(n + 1):
+                    (size, cols), = _layer_blocks(n, k, memo)
+                    if (n, k) not in subsets:
+                        subsets[n, k] = [sum(1 << c for c in s) for s in colex_combinations(n, k)]
+                    perc = one = 0
+                    for j, bits in enumerate(subsets[n, k]):
+                        perc |= table.percolates(bits) << j
+                        one |= table.one_phase(bits) << j
+                    ones = (1 << size) - 1
+                    closed = list(cols)
+                    while table.sweep(closed, closed):
+                        pass
+                    assert reduce(and_, closed, ones) == perc, (dims, t, r, k)
+                    phase = list(cols)
+                    table.sweep(cols, phase)
+                    assert reduce(and_, phase, ones) == one, (dims, t, r, k)
+                    assert table.first_percolating(cols, ones) == perc & -perc, (dims, t, r, k)
+                    got = table.first_one_phase(cols, ones)
+                    assert got & -got == one & -one, (dims, t, r, k)
 
 
 def test_percolation_cut_matches_the_scalar_reference_across_blocks_and_budgets():
@@ -482,14 +535,14 @@ def test_percolation_cut_fires_and_closes_the_candidates_below():
     # first sweep candidate 6 percolates, and the next sweep runs on the six
     # candidates below it alone.
     widths = []
-    infect = search._infect
+    sweep = EdgeTable.sweep
 
-    def spy(src, dst, units, t):
+    def spy(table, src, dst):
         widths.append(max(src).bit_length())
-        return infect(src, dst, units, t)
+        return sweep(table, src, dst)
 
     shape = GridShape((2, 2, 3))
-    with mock.patch.object(search, "_infect", spy):
+    with mock.patch.object(EdgeTable, "sweep", spy):
         got = min_percolating_size(shape, P22)
     assert got.minimum == 5 and got.examined[5] == 7
     assert widths[-2:] == [math.comb(12, 5), 6]
