@@ -17,7 +17,6 @@ from . import engine, jsonio, render, search, transforms
 from .constructions import l_set, m_formula
 from .jsonio import InstanceError
 from .lattice import CellSet, GridShape, Params, check_compatible
-from .verify import SUITE_DEFAULTS, SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -121,6 +120,10 @@ def _reach_args(p: argparse.ArgumentParser) -> None:
 
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
+    # verify is imported only where its command is built or run, so that
+    # the other commands do not pay for it.
+    from .verify import SUITE_DEFAULTS, SUITES
+
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     d = SUITE_DEFAULTS
     p.add_argument("--seeds", type=int, default=d["seeds"])
@@ -272,6 +275,8 @@ def _cmd_reach(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     report = run_suite(
         args.suite,
         seeds=args.seeds,

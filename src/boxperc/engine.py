@@ -78,7 +78,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, combinations, product
 from operator import and_, or_
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .lattice import (
     CellSet,
@@ -260,7 +260,7 @@ class EdgeTable:
         """True when the first phase after `bits` is every cell."""
         return next(self.phases(bits), bits) == self.full
 
-    def sweep(self, src: list[int], dst: list[int]) -> bool:
+    def sweep(self, src: Sequence[int], dst: list[int]) -> bool:
         """One sweep of the units over candidate columns: OR into dst each
         cell that an edge infects from src; True when some column of dst
         grew. dst must hold src, column by column.
@@ -323,7 +323,7 @@ class EdgeTable:
                     dst[row[0]] |= suf
         return dst != before
 
-    def first_percolating(self, cols: list[int], want: int) -> int:
+    def first_percolating(self, cols: Sequence[int], want: int) -> int:
         """The first of the wanted candidates that percolates, as its bit,
         or 0: `percolates` over candidate columns (bit j of cols[c] set
         when candidate j holds cell c) and a mask `want` of candidates.
@@ -348,7 +348,7 @@ class EdgeTable:
             if not self.sweep(closed, closed):
                 return first
 
-    def first_one_phase(self, cols: list[int], want: int) -> int:
+    def first_one_phase(self, cols: Sequence[int], want: int) -> int:
         """The wanted candidates whose first phase is every cell, the first
         of them lowest: `one_phase` over candidate columns, in one sweep
         that reads only the start columns."""

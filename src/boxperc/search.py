@@ -1,19 +1,21 @@
 """Brute-force oracles: exact minimum sizes, samplers, shift reachability.
 
 The minimum-size searches enumerate candidate sets in colex order over
-linear indices, one cardinality (layer) at a time. A cardinality is only
+linear indices, cardinality (layer) by cardinality. A cardinality is only
 declared the minimum after the previous cardinality has been exhausted
 without a witness, so a completed report is exact by construction. Every
 predicate evaluation counts against an explicit budget; when the budget
 runs out the report is returned flagged non-exhaustive instead of guessing.
 
-A layer is tested in blocks of at most BLOCK consecutive candidates, all
-at once. A block is held bit-sliced: one int per cell, whose bit j is set
-when candidate j of the block holds that cell. Pascal's rule builds the
-columns: colex(m, k) is colex(m - 1, k) followed by colex(m - 1, k - 1)
-with cell m - 1 added, so each column is an OR of shifted columns of
-smaller layers, and a layer too large for one block splits by the same
-rule into blocks that follow each other in colex order.
+The layers are tested in blocks of at most BLOCK consecutive candidates,
+all at once. A block holds one or more whole consecutive layers, packed
+end to end, or one part of a layer too large for a block. It is held
+bit-sliced: one int per cell, whose bit j is set when candidate j of the
+block holds that cell. Pascal's rule builds the columns: colex(m, k) is
+colex(m - 1, k) followed by colex(m - 1, k - 1) with cell m - 1 added, so
+each column is an OR of shifted columns of smaller layers, and a layer
+too large for one block splits by the same rule into blocks that follow
+each other in colex order.
 
 The predicates are the edge table's bit-sliced ones,
 `EdgeTable.first_percolating` and `EdgeTable.first_one_phase`, which read
@@ -28,7 +30,9 @@ candidate that is live (not pruned) and meets the target, `checks` counts
 the live candidates up to it, and when the budget runs out first the
 search stops at the live candidate past it. So `examined`, `checks` and
 the witness are those of testing the candidates one by one in colex order,
-and every layer below the minimum is still tested in full.
+and every layer below the minimum is still tested in full. The stop or
+the witness is mapped back to its layer; a layer gets its `examined`
+entry once the search reaches it.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .constructions import l_set
 from .engine import EdgeTable, _edge_table
@@ -118,44 +122,71 @@ def _colex_columns(m: int, k: int) -> tuple[int, ...]:
     return row[k]
 
 
-# A whole layer's columns depend on (n, k) alone, so they are kept across
-# searches. An entry is at most n ints of 4 KiB (one per cell); the bound
-# keeps every whole layer of the benchmark's oracle grids (51 of them).
-_whole_layer = lru_cache(maxsize=128)(_colex_columns)
+@lru_cache(maxsize=128)
+def _packed_run(n: int, first: int, last: int) -> tuple[int, ...]:
+    """Columns of colex(n, first), ..., colex(n, last) laid end to end, the
+    first layer from bit 0 on.
 
-
-def _layer_blocks(n: int, k: int, memo: dict) -> Iterator[tuple[int, list[int]]]:
-    """colex(n, k) in consecutive blocks of at most BLOCK candidates, as
-    (size, one column per cell).
-
-    A layer too large for one block splits by Pascal's rule into the
-    candidates without cell m - 1, then those with it. The columns of a
-    whole layer come from the cache shared by all searches; those of the
-    blocks of a split layer are kept in `memo`, which lives for one search.
+    They depend on (n, first, last) alone, so they are kept across searches.
+    A run holds at most BLOCK candidates, so an entry is at most n ints of
+    4 KiB (one per cell); the bound keeps every run of the benchmark's
+    oracle grids (11 of them).
     """
-    stack = [(n, k, 0)]
-    while stack:
-        # colex(m, i) with the cells in `top` added: every candidate here
-        # holds them, and no other cell from m up.
-        m, i, top = stack.pop()
-        size = comb(m, i)
-        if size > BLOCK:
-            stack.append((m - 1, i - 1, top | 1 << (m - 1)))
-            stack.append((m - 1, i, top))
+    cols = [0] * n
+    offset = 0
+    for k in range(first, last + 1):
+        for c, col in enumerate(_colex_columns(n, k)):
+            cols[c] |= col << offset
+        offset += comb(n, k)
+    return tuple(cols)
+
+
+def _blocks(n: int) -> Iterator[tuple[int, Sequence[int], list[tuple[int, int, int]]]]:
+    """colex(n, 0), ..., colex(n, n) in consecutive blocks of at most BLOCK
+    candidates, as (size, one column per cell, layers). `layers` lists the
+    block's layers in order as (k, count, offset): `count` candidates of
+    colex(n, k) from bit `offset` on.
+
+    Whole consecutive layers share a block for as long as it stays within
+    BLOCK, and take their columns from the packed-run cache shared by all
+    searches. A layer larger than BLOCK splits by Pascal's rule into the
+    candidates without cell m - 1, then those with it; the columns of its
+    blocks are kept in `memo`, which lives as long as the iterator.
+    """
+    memo: dict = {}
+    run: list[tuple[int, int, int]] = []
+    size = 0
+    for k in range(n + 1):
+        count = comb(n, k)
+        if run and size + count > BLOCK:
+            yield size, _packed_run(n, run[0][0], k - 1), run
+            run, size = [], 0
+        if count <= BLOCK:
+            run.append((k, count, size))
+            size += count
             continue
-        if m == n:
-            cols = _whole_layer(n, k)
-        elif (m, i) in memo:
-            cols = memo[m, i]
-        else:
-            cols = memo[m, i] = _colex_columns(m, i)
-        ones = (1 << size) - 1
-        yield size, [*cols, *(ones if top >> c & 1 else 0 for c in range(m, n))]
+        stack = [(n, k, 0)]
+        while stack:
+            # colex(m, i) with the cells in `top` added: every candidate here
+            # holds them, and no other cell from m up.
+            m, i, top = stack.pop()
+            part = comb(m, i)
+            if part > BLOCK:
+                stack.append((m - 1, i - 1, top | 1 << (m - 1)))
+                stack.append((m - 1, i, top))
+                continue
+            if (m, i) not in memo:
+                memo[m, i] = _colex_columns(m, i)
+            ones = (1 << part) - 1
+            cols = [*memo[m, i], *(ones if top >> c & 1 else 0 for c in range(m, n))]
+            yield part, cols, [(k, part, 0)]
+    if run:
+        yield size, _packed_run(n, run[0][0], n), run
 
 
 def _prune_empty_slice(
     shape: GridShape, params: Params
-) -> Optional[Callable[[list[int], int], int]]:
+) -> Optional[Callable[[Sequence[int], int], int]]:
     """Sound rejection for d = r = 2, t = 2: a proper subset with an empty
     row or column can never percolate, because an empty row stays empty.
     The full set has no empty slice, so it is never rejected.
@@ -167,7 +198,7 @@ def _prune_empty_slice(
     slices = [tuple(iter_bits(slice_mask(shape, axis, m)))
               for axis in (1, 2) for m in range(1, shape.dims[axis - 1] + 1)]
 
-    def live(cols: list[int], ones: int) -> int:
+    def live(cols: Sequence[int], ones: int) -> int:
         out = ones
         for cells in slices:
             some = 0
@@ -195,11 +226,12 @@ def _min_size(
     shape: GridShape,
     params: Params,
     target: str,
-    hits: Callable[[list[int], int], int],
+    hits: Callable[[Sequence[int], int], int],
     budget: int,
-    live: Optional[Callable[[list[int], int], int]],
+    live: Optional[Callable[[Sequence[int], int], int]],
 ) -> SearchReport:
-    """Search the layers in colex order, one block at a time.
+    """Search the layers in colex order, one block of whole or split
+    layers at a time.
 
     `live(cols, ones)` gives the block's candidates that survive the prune
     (None keeps them all). `hits(cols, want)` is called only with a nonzero
@@ -214,41 +246,41 @@ def _min_size(
     n = cell_count(shape)
     report = SearchReport(shape, params, target, None, None, budget=budget)
     start = time.perf_counter()
-    memo: dict = {}
-    for k in range(n + 1):
-        report.examined[k] = 0
-        for size, cols in _layer_blocks(n, k, memo):
-            ones = (1 << size) - 1
-            alive = ones if live is None else live(cols, ones)
-            # The budget allows `room` more checks: it runs out at the live
-            # candidate after them, or not in this block.
-            room = budget - report.checks
-            stop = _nth_bit(alive, room) if alive.bit_count() > room else size
-            # Only the live candidates before the stop need the predicate.
-            block, want = cols, alive
-            if stop < size:
-                lim = (1 << stop) - 1
-                block, want = [c & lim for c in cols], alive & lim
-            found = hits(block, want) if want else 0
-            if found:
-                j = (found & -found).bit_length() - 1
-                report.examined[k] += j + 1
-                report.checks += (alive & ((2 << j) - 1)).bit_count()
-                report.minimum = report.refuted_below = k
-                report.witness = CellSet(
-                    shape, sum(1 << c for c, col in enumerate(cols) if col >> j & 1)
-                )
-            elif stop < size:
-                report.examined[k] += stop + 1
-                report.checks = budget
-                report.exact = False
-                report.refuted_below = k
-            else:
-                report.examined[k] += size
-                report.checks += alive.bit_count()
-                continue
-            report.duration_ms = int((time.perf_counter() - start) * 1000)
-            return report
+    for size, cols, layers in _blocks(n):
+        ones = (1 << size) - 1
+        alive = ones if live is None else live(cols, ones)
+        # The budget allows `room` more checks: it runs out at the live
+        # candidate after them, or not in this block.
+        room = budget - report.checks
+        stop = _nth_bit(alive, room) if alive.bit_count() > room else size
+        # Only the live candidates before the stop need the predicate.
+        block, want = cols, alive
+        if stop < size:
+            lim = (1 << stop) - 1
+            block, want = [c & lim for c in cols], alive & lim
+        found = hits(block, want) if want else 0
+        # The last candidate examined: the hit, the stop or the block's last.
+        last = (found & -found).bit_length() - 1 if found else min(stop, size - 1)
+        for k, count, offset in layers:
+            report.examined[k] = report.examined.get(k, 0) + min(count, last + 1 - offset)
+            if last < offset + count:
+                break
+        # k is now the layer of the last candidate examined.
+        if found:
+            report.checks += (alive & ((2 << last) - 1)).bit_count()
+            report.minimum = report.refuted_below = k
+            report.witness = CellSet(
+                shape, sum(1 << c for c, col in enumerate(cols) if col >> last & 1)
+            )
+        elif stop < size:
+            report.checks = budget
+            report.exact = False
+            report.refuted_below = k
+        else:
+            report.checks += alive.bit_count()
+            continue
+        report.duration_ms = int((time.perf_counter() - start) * 1000)
+        return report
     raise AssertionError("the full grid always satisfies both targets")
 
 

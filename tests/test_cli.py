@@ -328,15 +328,26 @@ def test_invalid_inputs_exit_two(tmp_path, capsys):
     assert rc == 2 and "3 dimensions" in err
 
 
-def test_cli_import_leaves_numpy_out():
-    # boxperc has no runtime dependency; numpy must not come in by accident.
+def _cli_import_output(module):
+    """What a fresh interpreter that imports boxperc.cli prints for whether
+    `module` is loaded: exactly "True\\n" or "False\\n"."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = "import sys, boxperc.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out == "False\n"
+    code = f"import sys, boxperc.cli; print({module!r} in sys.modules)"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout
+
+
+def test_cli_import_leaves_numpy_out():
+    # boxperc has no runtime dependency; numpy must not come in by accident.
+    assert _cli_import_output("numpy") == "False\n"
+
+
+def test_cli_import_leaves_verify_out():
+    # Only the verify command needs the verify module; every other CLI
+    # process (and every import of the package's CLI) skips compiling it.
+    assert _cli_import_output("boxperc.verify") == "False\n"
 
 
 def test_io_errors_exit_two(tmp_path, capsys):

@@ -33,7 +33,8 @@ from boxperc.lattice import (
 )
 from boxperc.search import (
     SearchReport,
-    _layer_blocks,
+    _blocks,
+    _colex_columns,
     colex_combinations,
     min_one_phase_size,
     min_percolating_size,
@@ -112,14 +113,15 @@ def test_budget_stop_limits_the_predicate_to_earlier_candidates():
     shape = GridShape((3, 3))
     for budget, expected, examined in (
         (1, [0b1], {0: 1, 1: 1}),
-        (5, [0b1, 0b1111], {0: 1, 1: 5}),
-        (10, [0b1, 0b111111111], {0: 1, 1: 9, 2: 1}),
+        (5, [0b11111], {0: 1, 1: 5}),
+        (10, [0b1111111111], {0: 1, 1: 9, 2: 1}),
     ):
         calls.clear()
         report = search._min_size(shape, P22, "percolate", hits, budget, None)
-        # Layer 0 takes one check. The budget runs out in layer 1 (layer 2
-        # at budget 10); the predicate sees only the candidates before the
-        # stop, and is not called at stop 0.
+        # All 2^9 candidates share one block, so the predicate is called
+        # once and sees only the candidates before the stop: candidate 0 is
+        # layer 0, and the budget runs out in layer 1 (layer 2 at budget 10).
+        # Layers past the stop get no entry in `examined`.
         assert calls == expected
         assert report.checks == budget and not report.exact
         assert report.examined == examined
@@ -139,26 +141,49 @@ def test_search_rejects_a_budget_that_is_not_an_int(budget):
             run(GridShape((3, 3)), P22, budget=budget)
 
 
-def _decoded(n, k):
-    """The candidates of the blocks of layer (n, k), read back column by column."""
+def _decoded(n):
+    """The candidates of the blocks of n cells, read back column by column,
+    each as (its layer by the block's tags, its cells), after checking that
+    the tags tile the block and that the blocks pack greedily."""
     out = []
-    for size, cols in _layer_blocks(n, k, {}):
+    blocks = list(_blocks(n))
+    for (size, cols, layers), nxt in zip(blocks, blocks[1:] + [None]):
         assert len(cols) == n and 0 < size <= search.BLOCK
         assert all(col < 1 << size for col in cols)
-        out += [tuple(c for c in range(n) if cols[c] >> j & 1) for j in range(size)]
+        counts = [count for _, count, _ in layers]
+        assert [offset for _, _, offset in layers] == [0, *accumulate(counts)][:-1]
+        assert sum(counts) == size
+        if len(layers) > 1:
+            assert all(count == math.comb(n, k) for k, count, _ in layers)
+        # A block of whole layers ends only where the next layer does not fit.
+        if nxt is not None and layers[-1][1] == math.comb(n, layers[-1][0]):
+            assert size + math.comb(n, nxt[2][0][0]) > search.BLOCK
+        out += [(k, tuple(c for c in range(n) if cols[c] >> j & 1))
+                for k, count, offset in layers for j in range(offset, offset + count)]
     return out
 
 
+def _layer_tags(n):
+    return [[k for k, _, _ in layers] for _, _, layers in _blocks(n)]
+
+
 def test_layer_blocks_decode_to_colex_order():
-    n, k = 18, 9
-    assert math.comb(n, k) > search.BLOCK
-    assert len(list(_layer_blocks(n, k, {}))) > 1
-    assert _decoded(n, k) == list(colex_combinations(n, k))
-    for block in (1, 2, 5):
+    # At the real block size, 12 and 15 cells take one block of all layers;
+    # 16 cells pack into three blocks; layers 0-4 of 25 cells share a block
+    # and layer 5 splits.
+    assert _layer_tags(12) == [[*range(13)]]
+    assert _layer_tags(15) == [[*range(16)]]
+    assert _layer_tags(16) == [[*range(8)], [8, 9, 10], [*range(11, 17)]]
+    assert _layer_tags(25)[:2] == [[0, 1, 2, 3, 4], [5]]
+    n = 18
+    assert math.comb(n, 9) > search.BLOCK
+    assert _layer_tags(n).count([9]) > 1
+    colex = lambda n: [(k, combo) for k in range(n + 1) for combo in colex_combinations(n, k)]
+    assert _decoded(n) == colex(n)
+    for block in (1, 2, 5, 20, 100):
         with mock.patch.object(search, "BLOCK", block):
-            for n in range(8):
-                for k in range(n + 1):
-                    assert _decoded(n, k) == list(colex_combinations(n, k)), (block, n, k)
+            for n in range(9):
+                assert _decoded(n) == colex(n), (block, n)
 
 
 # Reference: the search as it ran before it was bit-sliced, testing one
@@ -247,7 +272,7 @@ def search_instances(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(search_instances(), st.sampled_from((1, 2, 3, 7, search.BLOCK)), st.data())
+@given(search_instances(), st.sampled_from((1, 2, 3, 7, 20, 100, search.BLOCK)), st.data())
 def test_search_matches_scalar_reference(inst, block, data):
     shape, params, target = inst
     unlimited = scalar_min_size(shape, params, target, search.DEFAULT_BUDGET)
@@ -280,17 +305,18 @@ def test_search_matches_scalar_reference_with_the_prune_and_several_blocks():
 
 
 def test_cached_columns_and_edge_cells_give_the_cold_report():
-    # Whole-layer columns are kept across searches, keyed by (cells, layer),
-    # and each grid's kernel units stay on its cached edge table. (4, 4)
-    # and (2, 2, 4) have the same cell count, so each runs on columns the
-    # other left behind; BLOCK decides which layers split. No report may
-    # differ from a search run with every cache empty.
+    # Packed-run columns are kept across searches, keyed by (cells, first
+    # layer, last layer), and each grid's kernel units stay on its cached
+    # edge table. (4, 4) and (2, 2, 4) have the same cell count, so each
+    # runs on columns the other left behind; BLOCK decides which layers pack
+    # and which split. No report may differ from a search run with every
+    # cache empty.
     grids = [(GridShape(dims), P22, target)
              for dims in ((4, 4), (2, 2, 4)) for target in ("percolate", "one-phase")]
     budgets = (25, search.DEFAULT_BUDGET)
 
     def cold(shape, params, target, budget):
-        search._whole_layer.cache_clear()
+        search._packed_run.cache_clear()
         _edge_table.cache_clear()
         return _fields(_search(shape, params, target, budget))
 
@@ -493,9 +519,8 @@ def test_bit_sliced_predicates_match_the_scalar_ones_on_every_subset():
         for t in (2, 3):
             for r in range(1, len(dims) + 1):
                 table = _edge_table(GridShape(dims), Params(t, r))
-                memo = {}
                 for k in range(n + 1):
-                    (size, cols), = _layer_blocks(n, k, memo)
+                    size, cols = math.comb(n, k), _colex_columns(n, k)
                     if (n, k) not in subsets:
                         subsets[n, k] = [sum(1 << c for c in s) for s in colex_combinations(n, k)]
                     perc = one = 0
@@ -530,10 +555,12 @@ def test_percolation_cut_matches_the_scalar_reference_across_blocks_and_budgets(
 
 
 def test_percolation_cut_fires_and_closes_the_candidates_below():
-    # Record the highest candidate left in the columns at each sweep. The
-    # hit layer of (2, 2, 3) is one block of C(12, 5) candidates; after its
-    # first sweep candidate 6 percolates, and the next sweep runs on the six
-    # candidates below it alone.
+    # Record the highest candidate left in the columns at each sweep. All
+    # 4096 candidates of (2, 2, 3) are one block. The full set, the last of
+    # them, percolates before any sweep, so the first sweep runs on the 4095
+    # below it. After that sweep candidate 800 (the seventh of layer 5, past
+    # the 794 of layers 0-4) percolates, and the sweeps to the fixpoint run
+    # on the 800 candidates below it alone.
     widths = []
     sweep = EdgeTable.sweep
 
@@ -545,7 +572,7 @@ def test_percolation_cut_fires_and_closes_the_candidates_below():
     with mock.patch.object(EdgeTable, "sweep", spy):
         got = min_percolating_size(shape, P22)
     assert got.minimum == 5 and got.examined[5] == 7
-    assert widths[-2:] == [math.comb(12, 5), 6]
+    assert widths == [4095, 800, 800]
     assert _fields(got) == _fields(scalar_min_size(shape, P22, "percolate", search.DEFAULT_BUDGET))
 
 
