@@ -6,26 +6,28 @@ infectable vertex at once; step iteration adds one at a time. Both reach
 the same fixpoint (the closure), which is what `full_form` computes. A set
 percolates when its closure covers the whole grid.
 
-Each (shape, params) pair has one cached edge table. It stores only each
-hyperedge's occupancy bitmask and the block layout that generated them in
-the documented edge order (varying axes ascending, then the varying value
-tuples, then the fixed coordinates). Masks are per-axis products of
-row-major stride factors, shifted by the fixed coordinates, without
-visiting vertices one by one. The same layout gives each edge's index
-arithmetically, so the edge columns (`EdgeTable.columns`) are computed
-from it rather than read off the masks: the transpose of the masks, one
-int per cell, whose bit k is set when edge k holds the cell. No module but
-this one reads the columns. The table's scan, `EdgeTable.single_missing`,
-ORs the columns of the missing cells into `once` and `twice`
-accumulators, leaving the edges that miss exactly one cell in
-`once & ~twice`, at a cost of O(missing cells) big-int operations whatever
-the edge count; an edge's mask then gives its missing cell and its
-maximal corner. On that scan stand `EdgeTable.phases`, `percolates` and
-`one_phase`, and through them the phase scans, closures and predicates
-here and the samplers of `search`. On it too stands `EdgeTable.moves`,
-the one source of shift moves: the shift search of `search`, the
-maximal-shift normal form of `transforms` and the shift battery of
-`verify` all read it.
+Each (shape, params) pair has one cached edge table. It stores only the
+block layout of the edges in the documented edge order (varying axes
+ascending, then the varying value tuples, then the fixed coordinates):
+per choice of varying axes, one list of index sets per axis, t-sets where
+the axis varies and singletons where it is fixed, as `lattice.Edge` holds
+an edge. An edge's index is a weighted sum of its per-axis ranks, so every
+view is computed from the layout, on first use, without visiting vertices
+one by one: the edge masks (`EdgeTable.masks`, one occupancy bitmask per
+edge, per-axis products of row-major stride factors shifted by the fixed
+coordinates) and the edge columns (`EdgeTable.columns`, the transpose of
+the masks: one int per cell, whose bit k is set when edge k holds the
+cell). No module but this one reads either. The table's scan,
+`EdgeTable.single_missing`, ORs the columns of the missing cells into
+`once` and `twice` accumulators, leaving the edges that miss exactly one
+cell in `once & ~twice`, at a cost of O(missing cells) big-int operations
+whatever the edge count. On that scan stand `EdgeTable.phases`,
+`percolates` and `one_phase`, and through them the phase scans, closures
+and predicates here and the samplers of `search`; none of them builds the
+masks. On it too stands `EdgeTable.moves`, the one source of shift moves,
+which reads each edge's missing cell and maximal corner off its mask: the
+shift search of `search`, the maximal-shift normal form of `transforms`
+and the shift battery of `verify` all read it.
 
 The closure has a second, bit-sliced form, for the exact search, which
 tests a block of candidate sets at once: column c is then the int whose
@@ -76,7 +78,7 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 from operator import and_, or_
 from typing import Iterator, Optional, Sequence
 
@@ -125,66 +127,59 @@ class StepTrace:
 class EdgeTable:
     """Every hyperedge of one (shape, params) pair, in the documented order.
 
-    The table stores its `params`, `masks[k]`, the occupancy bitmask of
-    edge k, the block layout and `full`, the mask of every cell;
-    everything else is derived from them. The scalar scan over the edge
-    columns lives here: `single_missing`, `phases`, `percolates`,
-    `one_phase` and the shift moves, `moves`, each over a set given as its
-    cell bits. So does the bit-sliced kernel, `sweep`, with its
-    predicates `first_percolating` and `first_one_phase`, each over a
+    The table stores its `params`, its block layout, `size`, the number of
+    edges, and `full`, the mask of every cell; everything else is a view
+    of the layout, built on first use and kept: `masks[k]`, the occupancy
+    bitmask of edge k, read only by `moves` and step traces; the per-cell
+    edge `columns`, read by the scalar scan; and the kernel's `units` (per
+    r-flat and t-box F, the boxes {y} x F along the flat's longest varying
+    axis). The scalar scan lives here: `single_missing`, `phases`,
+    `percolates`, `one_phase` and the shift moves, `moves`, each over a set
+    given as its cell bits. So does the bit-sliced kernel, `sweep`, with
+    its predicates `first_percolating` and `first_one_phase`, each over a
     block of candidates given as one column per cell. `edge(k)` decodes
-    edge k on first request.
-    The kernel's units (`units`: per r-flat and t-box F, the boxes
-    {y} x F along the flat's longest varying axis) and the per-cell edge
-    columns (`columns`) are built from the layout on first use and kept.
-    Step traces compute the edges through a cell from the layout instead
-    of keeping a list per cell.
+    edge k on first request. Step traces compute the edges through a cell
+    from the layout instead of keeping a list per cell.
 
-    The table is laid out in one block per choice of varying axes. Within a
-    block, edge k sits at `base + (sum of pos[j] * weights[j]) + fixed`,
-    where pos[j] is the rank of its t-set on the j-th varying axis among
-    that axis's t-sets (lex order), and fixed is the mixed-radix rank of its
-    coordinates on the other axes. `blocks` keeps, per block, (base, varying
-    axes, weights, offsets, t-sets, held, lines): offsets[fixed] is the
-    linear index that the fixed coordinates add to a cell, t-sets[j] lists
-    the 1-based t-sets of the j-th varying axis in lex order, and held[j][x]
-    lists the weighted ranks `pos * weights[j]` of those holding coordinate
-    x + 1, ascending. So the edges of a block through a cell are the base
-    plus the cell's fixed rank plus one rank from held[j] per varying axis.
-    lines[p] lists those sums without the last varying axis's rank, for
-    the cells whose row-major index over all the other axes is p (one line
-    along the last varying axis). A block's edges through a cell are then
-    its line's entries plus each rank in held[-1] at its coordinate there.
+    The table is laid out in one block per choice of varying axes, and
+    `blocks` keeps, per block, (base, axes, sets, weights, held, lines).
+    axes are the varying axes, ascending. sets[i] lists axis i's index
+    sets in lex order: its 1-based t-sets where it varies, its singletons
+    (c,) where it is fixed. An edge of the block takes one set per axis,
+    and sits at `base + sum of pos[i] * weights[i]`, pos[i] the rank of its
+    set on axis i; the weights are mixed-radix over the varying axes first,
+    then the fixed ones, last axis fastest. held[i][x] lists, for every
+    axis, the weighted ranks `pos * weights[i]` of the sets holding
+    coordinate x + 1, ascending. So the edges of a block through a cell are
+    the base plus one rank from held[i] per axis. lines[p] lists those sums
+    over every axis but the last varying one, for the cells whose row-major
+    index over those axes is p (one line along the last varying axis). A
+    block's edges through a cell are then its line's entries plus each
+    rank in held[axes[-1]] at its coordinate there.
     """
 
-    def __init__(
-        self, shape: GridShape, params: Params, masks: tuple[int, ...], blocks: tuple
-    ) -> None:
+    def __init__(self, shape: GridShape, params: Params, blocks: tuple, size: int) -> None:
         self.shape = shape
         self.params = params
-        self.masks = masks
         self.blocks = blocks
+        self.size = size
         self.full = (1 << cell_count(shape)) - 1
         self._memo: dict[int, Edge] = {}
 
     def edge(self, k: int) -> Edge:
         """Edge k, decoded once: every caller gets the same object.
 
-        Its block is the last one whose base is at most k. The fixed
-        coordinates are those of the cell at offsets[fixed], and each
-        varying axis takes the t-set whose rank its weight picks out.
+        Its block is the last one whose base is at most k, and each axis
+        takes the index set whose rank its weight picks out.
         """
         e = self._memo.get(k)
         if e is None:
-            if not 0 <= k < len(self.masks):
+            if not 0 <= k < self.size:
                 raise IndexError(f"edge index {k} out of range")
-            base, axes, weights, offsets, tsets, _, _ = self.blocks[
+            base, _, sets, weights, _, _ = self.blocks[
                 bisect_right(self.blocks, k, key=lambda block: block[0]) - 1]
             rel = k - base
-            sets = [(c,) for c in unchecked_vertex(self.shape, offsets[rel % len(offsets)])]
-            for i, w, ts in zip(axes, weights, tsets):
-                sets[i] = ts[rel // w % len(ts)]
-            e = self._memo[k] = Edge(tuple(sets))
+            e = self._memo[k] = Edge(tuple(ss[rel // w % len(ss)] for ss, w in zip(sets, weights)))
         return e
 
     def single_missing(self, bits: int) -> int:
@@ -362,7 +357,8 @@ class EdgeTable:
         r-flat (a block and its fixed coordinates) and t-box F, a t-set on
         each varying axis but h, the block's longest varying axis (the
         first of the longest). A unit lists the boxes {y} x F for y along h,
-        in order, each box its cells by linear index, ascending.
+        in order, each box its cells by linear index, ascending. The units
+        run over the index sets of every axis but h, fixed axes first.
 
         The edges of the flat that vary over F on the other axes are the
         unions of the boxes {y} x F over the t-sets of y on h, so each edge
@@ -376,19 +372,46 @@ class EdgeTable:
         dims = self.shape.dims
         strides = row_strides(dims)
         units = []
-        for _, axes, _, offsets, tsets, _, _ in self.blocks:
-            if not all(tsets):
+        for _, axes, sets, _, _, _ in self.blocks:
+            if not all(sets):
                 continue
             h = max(axes, key=dims.__getitem__)
             boxes = [(0,)]
-            for i, ts in zip(axes, tsets):
+            for i in sorted(range(len(dims)), key=axes.__contains__):
                 if i != h:
                     boxes = [tuple(o + (c - 1) * strides[i] for o in box for c in s)
-                             for box in boxes for s in ts]
+                             for box in boxes for s in sets[i]]
             line = [y * strides[h] for y in range(dims[h])]
-            units += [tuple(tuple(o + y + b for b in box) for y in line)
-                      for o in offsets for box in boxes]
+            units += [tuple(tuple(y + b for b in box) for y in line) for box in boxes]
         return tuple(units)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """masks[k]: the occupancy bitmask of edge k, bit c set when the
+        edge holds the cell of linear index c.
+
+        An index set S on a varying axis i contributes the factor
+        sum(2**((c-1)*stride_i) for c in S). Cells of a box have distinct
+        row-major offsets, so the product of a block's factors has exactly
+        the box's bits set; each choice of fixed coordinates then shifts it
+        into place. Only `moves` and step traces read the masks.
+        """
+        strides = row_strides(self.shape.dims)
+        masks: list[int] = []
+        for _, axes, sets, _, _, _ in self.blocks:
+            boxes, shifts = [1], [0]
+            for i, ss in enumerate(sets):
+                if i in axes:
+                    factors = [sum(1 << (c - 1) * strides[i] for c in s) for s in ss]
+                    boxes = [b * f for b in boxes for f in factors]
+                else:
+                    # Shifting by a fixed coordinate rather than multiplying
+                    # by its power of two: the product measured 2-3x slower.
+                    shifts = [o + (c - 1) * strides[i] for o in shifts for c, in ss]
+            # With no fixed coordinate to apply, the boxes are the masks:
+            # shifting each by 0 would copy every one while the boxes are held.
+            masks.extend(boxes if shifts == [0] else [b << o for b in boxes for o in shifts])
+        return tuple(masks)
 
     @cached_property
     def columns(self) -> list[int]:
@@ -397,30 +420,34 @@ class EdgeTable:
 
         Built from the block layout as the masks are, without visiting
         edges one by one. In a block, the edges through a cell are the
-        block base plus the cell's fixed rank plus one weighted t-set rank
-        per varying axis, over the t-sets holding the cell's coordinate
-        there. So each varying axis gives, per coordinate, a factor with
-        bit `rank * weight` for each rank in `held`. The weights are
-        mixed-radix, so the product of one factor per varying axis has
-        exactly the bits of the block's edges through the cell, less the
-        base and the fixed rank, which then shift it into place. Each
-        product is dropped once shifted, so the build peaks near the size
-        of the finished columns.
+        block base plus one weighted rank per axis, over the index sets
+        holding the cell's coordinate there. So each varying axis gives,
+        per coordinate, a factor with bit `rank * weight` for each rank in
+        `held`. The weights are mixed-radix, so the product of one factor
+        per varying axis has exactly the bits of the block's edges through
+        the cell, less the base and the fixed axes' ranks, which then shift
+        it into place (a product by their power of two measured 2-3x
+        slower). Each product is dropped once shifted, so the build peaks
+        near the size of the finished columns.
         """
-        dims = self.shape.dims
-        strides = row_strides(dims)
+        strides = row_strides(self.shape.dims)
         cols = [0] * cell_count(self.shape)
-        for base, axes, _, offsets, _, held, _ in self.blocks:
-            # (linear offset of the varying coordinates, their product)
-            boxes = [(0, 1)]
-            for i, per in zip(axes, held):
-                factors = [sum(1 << q for q in ranks) for ranks in per]
-                boxes = [(o + x * strides[i], b * f)
-                         for o, b in boxes for x, f in enumerate(factors)]
+        for base, axes, _, _, held, _ in self.blocks:
+            # (linear offset, product) over the varying axes, and
+            # (linear offset, shift) over the fixed ones.
+            boxes, shifts = [(0, 1)], [(0, base)]
+            for i, per in enumerate(held):
+                if i in axes:
+                    factors = [sum(1 << q for q in ranks) for ranks in per]
+                    boxes = [(o + x * strides[i], b * f)
+                             for o, b in boxes for x, f in enumerate(factors)]
+                else:
+                    shifts = [(o + x * strides[i], s + q)
+                              for o, s in shifts for x, (q,) in enumerate(per)]
             while boxes:
                 o, b = boxes.pop()
-                for rank, shift in enumerate(offsets):
-                    cols[shift + o] |= b << base + rank
+                for f, s in shifts:
+                    cols[f + o] |= b << s
         return cols
 
 
@@ -428,71 +455,52 @@ class EdgeTable:
 def _edge_table(shape: GridShape, params: Params) -> EdgeTable:
     check_compatible(shape, params)
     dims = shape.dims
-    strides = row_strides(dims)
-    masks: list[int] = []
+    size = 0
     blocks = []
     for axes in combinations(range(shape.d), params.r):
-        others = [i for i in range(shape.d) if i not in axes]
-        n_fixed = math.prod(dims[i] for i in others)
+        # The size of each axis's index sets: t where it varies, 1 where it
+        # is fixed.
+        widths = [params.t if i in axes else 1 for i in range(shape.d)]
+        # Rank weights, varying axes first, then fixed ones, last axis
+        # fastest; w ends as the block's edge count.
+        weights = [0] * shape.d
+        w = 1
+        for i in reversed([*axes, *(i for i in range(shape.d) if i not in axes)]):
+            weights[i] = w
+            w *= math.comb(dims[i], widths[i])
         # Refuse before building a block that would pass the cap.
-        size = n_fixed * math.prod(math.comb(dims[i], params.t) for i in axes)
-        if len(masks) + size > EDGE_TABLE_CAP:
+        if size + w > EDGE_TABLE_CAP:
             raise ValueError(
                 f"shape {shape.dims} with t={params.t}, r={params.r} has more than "
                 f"{EDGE_TABLE_CAP} hyperedges; beyond the desk-scale engine"
             )
-        tsets = [list(combinations(range(1, dims[i] + 1), params.t)) for i in axes]
-        # Rank weights of the varying axes, last axis fastest, above the
-        # fixed rank.
-        weights = [n_fixed * math.prod(map(len, tsets[j + 1:])) for j in range(len(axes))]
-        # held[j][x]: the weighted ranks of the t-sets on axis axes[j]
-        # that hold coordinate x + 1.
+        # Each axis's index sets, in lex order.
+        sets = [list(combinations(range(1, n + 1), k)) for n, k in zip(dims, widths)]
+        # held[i][x]: the weighted ranks of the index sets on axis i that
+        # hold coordinate x + 1.
         held = []
-        for i, w, ts in zip(axes, weights, tsets):
-            per: list[list[int]] = [[] for _ in range(dims[i])]
-            for p, s in enumerate(ts):
+        for n, ss, w_i in zip(dims, sets, weights):
+            per: list[list[int]] = [[] for _ in range(n)]
+            for p, s in enumerate(ss):
                 for c in s:
-                    per[c - 1].append(p * w)
+                    per[c - 1].append(p * w_i)
             held.append(per)
-        # An index set S on a varying axis i contributes the factor
-        # sum(2**((c-1)*stride_i) for c in S). Cells of a box have distinct
-        # row-major offsets, so the product of the factors has exactly the
-        # box's bits set; each fixed coordinate then shifts it.
-        boxes = [1]
-        for i, ts in zip(axes, tsets):
-            factors = [sum(1 << (c - 1) * strides[i] for c in s) for s in ts]
-            boxes = [b * f for b in boxes for f in factors]
-        offsets = [
-            sum((c - 1) * strides[i] for c, i in zip(cs, others))
-            for cs in product(*(range(1, dims[i] + 1) for i in others))
-        ]
         # One list per line along the last varying axis (the cells that
         # differ only there), in row-major order over the other axes: the
-        # base plus the fixed rank plus one rank per other varying axis.
-        last = axes[-1]
-        rank_of = dict(zip(axes, held))
-        radix = n_fixed
-        lines = [[len(masks)]]
-        for i in range(shape.d):
-            if i == last:
-                continue
-            if i in rank_of:
-                per = rank_of[i]
-            else:
-                radix //= dims[i]
-                per = [[x * radix] for x in range(dims[i])]
-            lines = [[k + q for k in ks for q in qs] for ks in lines for qs in per]
-        blocks.append((len(masks), axes, weights, offsets, tsets, held, lines))
-        # With no fixed axis the boxes are the masks: shifting each by 0
-        # would copy every one while the boxes are still held.
-        masks.extend(boxes if not others else [b << o for b in boxes for o in offsets])
-    return EdgeTable(shape, params, tuple(masks), tuple(blocks))
+        # base plus one rank per other axis.
+        lines = [[size]]
+        for i, per in enumerate(held):
+            if i != axes[-1]:
+                lines = [[k + q for k in ks for q in qs] for ks in lines for qs in per]
+        blocks.append((size, axes, sets, weights, held, lines))
+        size += w
+    return EdgeTable(shape, params, tuple(blocks), size)
 
 
 def all_edges(shape: GridShape, params: Params) -> tuple[Edge, ...]:
     """Every hyperedge of the grid, in the deterministic sort order."""
     table = _edge_table(shape, params)
-    return tuple(map(table.edge, range(len(table.masks))))
+    return tuple(map(table.edge, range(table.size)))
 
 
 def infecting_edge(a: CellSet, v, params: Params) -> Optional[Edge]:
@@ -551,11 +559,13 @@ def step_by_step(a: CellSet, params: Params, seed: Optional[int] = None) -> Step
     cell's edges are visited cannot change it.
 
     The edges through the infected cell are computed from the block
-    layout: in each block, the base plus the cell's fixed rank plus one
-    weighted t-set rank per varying axis, taken over the t-sets that hold
-    the cell's coordinate there. The block's `lines` hold these sums over
-    every axis but the last varying one, so a cell's edges are its line's
-    entries plus, in turn, each rank of its coordinate on that axis.
+    layout: in each block, the base plus one weighted rank per axis, taken
+    over the index sets that hold the cell's coordinate there (one set on
+    a fixed axis, t-sets on a varying one). The block's `lines` hold these
+    sums over every axis but the last varying one, so a cell's edges are
+    its line's entries plus, in turn, each rank of its coordinate on that
+    axis. The missing counts are read off the masks, so a trace builds the
+    `masks` view of a cold table, and nothing else.
     """
     table = _edge_table(a.shape, params)
     masks = table.masks
@@ -565,9 +575,9 @@ def step_by_step(a: CellSet, params: Params, seed: Optional[int] = None) -> Step
     # the last varying axis from its linear index (giving its line) and
     # pick it out; and that axis's ranks per coordinate.
     layout = []
-    for _, axes, _, _, _, held, lines in table.blocks:
+    for _, axes, _, _, held, lines in table.blocks:
         i = axes[-1]
-        layout.append((lines, strides[i] * dims[i], strides[i], dims[i], held[-1]))
+        layout.append((lines, strides[i] * dims[i], strides[i], dims[i], held[i]))
     rng = random.Random(as_int(seed)) if seed is not None else None
     inv = ~a.bits
     missing = [(m & inv).bit_count() for m in masks]

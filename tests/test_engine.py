@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from itertools import combinations, product
@@ -33,6 +34,7 @@ from boxperc.lattice import (
 from boxperc.search import (
     min_one_phase_size,
     min_percolating_size,
+    random_one_phase_set,
     random_percolating_set,
     shift_reach,
 )
@@ -266,16 +268,22 @@ def test_edge_cap_counts_every_block(monkeypatch):
 # mask vertex by vertex; step traces rescan every mask at every step.
 
 
+def naive_options(shape, params, axes):
+    """The index sets on each axis of the edges that vary `axes`: the
+    t-sets where the axis varies, its singletons where it is fixed."""
+    options = []
+    for i, n in enumerate(shape.dims):
+        if i in axes:
+            options.append(list(combinations(range(1, n + 1), params.t)))
+        else:
+            options.append([(v,) for v in range(1, n + 1)])
+    return options
+
+
 def naive_edge_table(shape, params):
     edges = []
     for axes in combinations(range(shape.d), params.r):
-        options = []
-        for i, n in enumerate(shape.dims):
-            if i in axes:
-                options.append(list(combinations(range(1, n + 1), params.t)))
-            else:
-                options.append([(v,) for v in range(1, n + 1)])
-        edges.extend(Edge(sets) for sets in product(*options))
+        edges.extend(Edge(sets) for sets in product(*naive_options(shape, params, axes)))
     edges.sort(key=edge_order)
     masks = [sum(1 << linear_index(shape, v) for v in product(*e.sets)) for e in edges]
     return edges, masks
@@ -347,6 +355,18 @@ def assert_table_matches_reference(shape, params):
     for k in (-1, len(edges)):
         with pytest.raises(IndexError):
             table.edge(k)
+    # Each block lists, per axis, the reference's index sets for its choice
+    # of varying axes; the blocks follow one another, each as long as the
+    # product of its set counts; held[i][x] holds the weighted ranks of the
+    # sets on axis i through coordinate x + 1, on every axis.
+    size = 0
+    for base, axes, sets, weights, held, lines in table.blocks:
+        assert base == size
+        assert sets == naive_options(shape, params, axes)
+        assert held == [[[p * w for p, s in enumerate(ss) if x in s] for x in range(1, n + 1)]
+                        for n, ss, w in zip(shape.dims, sets, weights)]
+        size += math.prod(map(len, sets))
+    assert table.size == size == len(edges)
     assert table.masks == tuple(masks)
     assert_units_cover_the_masks(table, params)
     through = mask_walk_through(shape, masks)
@@ -356,9 +376,9 @@ def assert_table_matches_reference(shape, params):
     strides = row_strides(shape.dims)
     for cell, ks in enumerate(through):
         got = []
-        for _, axes, _, _, _, held, lines in table.blocks:
+        for _, axes, _, _, held, lines in table.blocks:
             s, n = strides[axes[-1]], shape.dims[axes[-1]]
-            got += [k + q for k in lines[cell // (s * n) * s + cell % s] for q in held[-1][cell // s % n]]
+            got += [k + q for k in lines[cell // (s * n) * s + cell % s] for q in held[axes[-1]][cell // s % n]]
         assert sorted(got) == ks
     assert all_edges(shape, params) == tuple(edges)
     assert tuple(sorted(all_edges(shape, params), key=edge_order)) == tuple(edges)
@@ -410,23 +430,49 @@ def test_step_trace_matches_reference_on_l_sets():
 
 def test_cold_step_trace_keeps_nothing_but_its_witnesses(monkeypatch):
     # A step trace computes each infected cell's edges from the block
-    # layout: on a fresh table it leaves every attribute as it was, except
-    # the edge memo, which then holds exactly the witness edges.
+    # layout and counts each edge's missing cells off its mask. On a fresh
+    # table it adds the `masks` view and fills the edge memo with exactly
+    # the witness edges; every other attribute stays as it was, so no
+    # columns, no units and no per-cell edge list are built.
     for dims, t, r in (((6, 6), 2, 2), ((3, 4, 3), 2, 2), ((3, 3, 3), 2, 3), ((2, 3, 2, 3), 3, 2)):
         shape, params = GridShape(dims), Params(t, r)
         order = {e: k for k, e in enumerate(naive_edge_table(shape, params)[0])}
         table = _edge_table.__wrapped__(shape, params)
         monkeypatch.setattr(engine, "_edge_table", lambda *_: table)
         before = dict(vars(table))
+        assert "masks" not in before
         a = l_set(shape, params)
         for seed in (None, 3):
             trace = step_by_step(a, params, seed=seed)
             after = dict(vars(table))
             memo = after.pop("_memo")
-            assert after.keys() == before.keys() - {"_memo"}
-            assert all(after[name] is before[name] for name in after)
+            assert after.keys() == before.keys() - {"_memo"} | {"masks"}
+            assert all(after[name] is before[name] for name in before if name != "_memo")
             assert set(memo) == {order[e] for _, e in trace.steps}
             table._memo.clear()
+
+
+def test_scans_samplers_and_search_never_build_the_masks():
+    # Only shift moves and step traces read the masks; the phase scans,
+    # predicates, witnesses, samplers and the exact search go through the
+    # columns or the units, so on a fresh table they leave the view unbuilt.
+    for dims, t, r in (((4, 5), 2, 2), ((3, 3, 3), 2, 2), ((3, 4), 3, 2), ((2, 3, 2), 2, 3)):
+        shape, params = GridShape(dims), Params(t, r)
+        _edge_table.cache_clear()
+        table = _edge_table(shape, params)
+        a = l_set(shape, params)
+        b = CellSet(shape, a.bits ^ 1 << next(iter_bits(a.bits)))
+        full_form(b, params)
+        phase_step(b, params)
+        v = next(v for v in CellSet.full(shape).cells() if v not in b)
+        infecting_edge(b, v, params)
+        percolates(b, params)
+        one_phase(b, params)
+        random_percolating_set(shape, params, 1)
+        random_one_phase_set(shape, params, 1)
+        min_percolating_size(shape, params)
+        assert _edge_table(shape, params) is table
+        assert "masks" not in vars(table)
 
 
 def naive_infecting_edge(a, v, params):
@@ -502,14 +548,16 @@ def test_columns_build_peaks_near_their_final_size():
 def test_mask_build_peaks_near_the_table_size():
     # At 30x30 every block varies both axes, so its box products are the
     # masks themselves and are not copied while they are held.
+    table = _edge_table.__wrapped__(GridShape((30, 30)), P22)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        table = _edge_table.__wrapped__(GridShape((30, 30)), P22)
+        tracemalloc.reset_peak()
+        masks = table.masks
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(table.masks) == 435 * 435
+    assert len(masks) == table.size == 435 * 435
     assert peak - before <= 1.3 * (held - before)
 
 
