@@ -36,7 +36,6 @@ from .lattice import (
     permute_slices,
     relabel_axis,
     slice_index,
-    slice_mask,
     unchecked_index,
     unchecked_vertex,
 )
@@ -125,9 +124,9 @@ def _columns(m: int) -> tuple[int, ...]:
 
 def _box(shape: GridShape, rows: Iterable[int], cols: int) -> int:
     """Occupancy mask of the listed rows times the columns of mask `cols`."""
-    # Distinct slices are disjoint, so their masks add.
-    return (sum(slice_mask(shape, 1, i) for i in rows)
-            & sum(slice_mask(shape, 2, j + 1) for j in iter_bits(cols)))
+    # Row i is the column mask shifted by (i - 1) * n2; distinct rows do
+    # not overlap, so the product adds them without carries.
+    return cols * sum(1 << (i - 1) * shape.dims[1] for i in rows)
 
 
 def rectangle_blocks(a: CellSet) -> Optional[list[tuple[tuple[int, ...], tuple[int, ...]]]]:

@@ -1,9 +1,12 @@
 """Claim-verification suites behind the `verify` command.
 
 Each suite checks one combinatorial claim at configurable sizes and seed
-counts and returns a VerificationReport: one row per checked instance or
-battery, an overall pass flag, and counts. Rows whose search ran out of
-budget are marked skipped (they neither pass nor fail).
+counts and yields its rows, one per checked instance or battery. Rows whose
+search ran out of budget are marked skipped (they neither pass nor fail).
+`run_suite` is the one place that builds a VerificationReport from them:
+the rows, an overall pass flag, and counts. It takes only the options of
+SUITE_DEFAULTS, each an integer, with `budget` >= 0 and the counts at least
+1 (`n_cap` at least 2).
 
 Suite ids: prop2_2, thm3_1, thm2_7, lemma_union, prop_removal, prop4_4,
 closure_laws, formula_vs_oracle.
@@ -12,7 +15,7 @@ closure_laws, formula_vs_oracle.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -29,6 +32,7 @@ from .lattice import (
     CellSet,
     GridShape,
     Params,
+    as_int,
     cell_count,
     slice_cells,
 )
@@ -62,22 +66,7 @@ class VerificationRow:
 @dataclass
 class VerificationReport:
     suite: str
-    rows: list[VerificationRow] = field(default_factory=list)
-
-    def add(self, claim: str, instance: str, expected, observed, ok: Optional[bool]):
-        status = "skip" if ok is None else ("pass" if ok else "fail")
-        self.rows.append(VerificationRow(claim, instance, expected, observed, status))
-
-    def add_tally(self, claim: str, instance: str, violations: int, enough: bool = True) -> None:
-        """Row for a battery, which expects no violations; it fails too
-        when `enough` is False (a conditioned draw found too few sets)."""
-        self.add(claim, instance, 0, violations, violations == 0 and enough)
-
-    def add_search(self, claim: str, instance: str, expected: int, res: SearchReport) -> None:
-        """Row for a minimum search against its expected value; skipped when
-        the search ran out of budget before it was exact."""
-        self.add(claim, instance, expected, res.minimum,
-                 res.minimum == expected if res.exact else None)
+    rows: list[VerificationRow]
 
     @property
     def counts(self) -> dict[str, int]:
@@ -115,6 +104,24 @@ class VerificationReport:
             f"  {c['pass']}/{c['total']} passed, {c['fail']} failed, {c['skip']} skipped"
         )
         return "\n".join(lines) + "\n"
+
+
+def _row(claim: str, instance: str, expected, observed, ok: Optional[bool]) -> VerificationRow:
+    status = "skip" if ok is None else ("pass" if ok else "fail")
+    return VerificationRow(claim, instance, expected, observed, status)
+
+
+def _tally_row(claim: str, instance: str, violations: int, enough: bool = True) -> VerificationRow:
+    """Row for a battery, which expects no violations; it fails too when
+    `enough` is False (a conditioned draw found too few sets)."""
+    return _row(claim, instance, 0, violations, violations == 0 and enough)
+
+
+def _search_row(claim: str, instance: str, expected: int, res: SearchReport) -> VerificationRow:
+    """Row for a minimum search against its expected value; skipped when
+    the search ran out of budget before it was exact."""
+    return _row(claim, instance, expected, res.minimum,
+                res.minimum == expected if res.exact else None)
 
 
 # ---------------------------------------------------------------------------
@@ -303,100 +310,95 @@ def repack_battery(
 
 
 # ---------------------------------------------------------------------------
-# Suites. Each takes every option of SUITE_DEFAULTS by keyword and ignores
-# the ones it does not use.
+# Suites. Each yields its rows in order; it takes every option of
+# SUITE_DEFAULTS by keyword and ignores the ones it does not use.
 
 # The one set of suite defaults, read by run_suite and by the CLI.
 SUITE_DEFAULTS = {"seeds": 200, "step_seeds": 20, "seed_base": 2026, "budget": 10**7, "n_cap": 4}
 
-
-def suite_prop2_2(*, n_cap: int, budget: int, **_) -> VerificationReport:
-    """Exact 2D minimum at t = r = 2 equals n1 + n2 - 1."""
-    report = VerificationReport("prop2_2")
-    params = Params(2, 2)
-    for n1, n2 in product(range(2, n_cap + 1), repeat=2):
-        res = min_percolating_size(GridShape((n1, n2)), params, budget=budget)
-        report.add_search("2d-minimum", f"({n1},{n2}) t=2 r=2", n1 + n2 - 1, res)
-    return report
+Rows = Iterator[VerificationRow]
 
 
-def suite_thm3_1(*, budget: int, **_) -> VerificationReport:
-    """Exact minimum at t = r = 2 equals the axis sum minus (d - 1)."""
-    report = VerificationReport("thm3_1")
-    params = Params(2, 2)
-    for dims in ((2, 2, 2), (2, 2, 3)):
-        res = min_percolating_size(GridShape(dims), params, budget=budget)
-        report.add_search("sum-minus-d-1", f"{dims} t=2 r=2", sum(dims) - (len(dims) - 1), res)
-    return report
-
-
-def suite_thm2_7(*, budget: int, seeds: int, seed_base: int, **_) -> VerificationReport:
-    """One-phase minimum equals (n1+n2)(t-1) - (t-1)^2, and the repack
-    construction satisfies its three requirements on random instances."""
-    report = VerificationReport("thm2_7")
+def _one_phase_rows(claim: str, budget: int) -> Rows:
+    """Exact one-phase minima at t = 3, r = 2 on (3,3) and (3,4) against
+    (n1+n2)(t-1) - (t-1)^2; thm2_7 and formula_vs_oracle both report them."""
     t = 3
     for dims in ((3, 3), (3, 4)):
         res = min_one_phase_size(GridShape(dims), Params(t, 2), budget=budget)
         expected = (dims[0] + dims[1]) * (t - 1) - (t - 1) ** 2
-        report.add_search("one-phase-minimum", f"{dims} t={t} r=2", expected, res)
-    for dims, tt in (((4, 4), 2), ((4, 5), 3)):
-        bad, found = repack_battery(GridShape(dims), Params(tt, 2), seeds, seed_base)
-        report.add_tally(
-            "repack-requirements", f"{dims} t={tt} r=2 x{found}", bad, found >= seeds
+        yield _search_row(claim, f"{dims} t={t} r=2", expected, res)
+
+
+def suite_prop2_2(*, n_cap: int, budget: int, **_) -> Rows:
+    """Exact 2D minimum at t = r = 2 equals n1 + n2 - 1."""
+    params = Params(2, 2)
+    for n1, n2 in product(range(2, n_cap + 1), repeat=2):
+        res = min_percolating_size(GridShape((n1, n2)), params, budget=budget)
+        yield _search_row("2d-minimum", f"({n1},{n2}) t=2 r=2", n1 + n2 - 1, res)
+
+
+def suite_thm3_1(*, budget: int, **_) -> Rows:
+    """Exact minimum at t = r = 2 equals the axis sum minus (d - 1)."""
+    params = Params(2, 2)
+    for dims in ((2, 2, 2), (2, 2, 3)):
+        res = min_percolating_size(GridShape(dims), params, budget=budget)
+        yield _search_row("sum-minus-d-1", f"{dims} t=2 r=2", sum(dims) - (len(dims) - 1), res)
+
+
+def suite_thm2_7(*, budget: int, seeds: int, seed_base: int, **_) -> Rows:
+    """One-phase minimum equals (n1+n2)(t-1) - (t-1)^2, and the repack
+    construction satisfies its three requirements on random instances."""
+    yield from _one_phase_rows("one-phase-minimum", budget)
+    for dims, t in (((4, 4), 2), ((4, 5), 3)):
+        bad, found = repack_battery(GridShape(dims), Params(t, 2), seeds, seed_base)
+        yield _tally_row(
+            "repack-requirements", f"{dims} t={t} r=2 x{found}", bad, found >= seeds
         )
-    return report
 
 
-def suite_lemma_union(*, seeds: int, seed_base: int, **_) -> VerificationReport:
+def suite_lemma_union(*, seeds: int, seed_base: int, **_) -> Rows:
     """Merging any two slices of a percolating set keeps it percolating."""
-    report = VerificationReport("lemma_union")
     for dims in ((4, 4), (3, 3, 3)):
         bad, checked = union_battery(GridShape(dims), Params(2, 2), seeds, seed_base)
-        report.add_tally(
+        yield _tally_row(
             "union-preserves-percolation",
             f"{dims} t=2 r=2 x{seeds} ({checked} unions)",
             bad,
         )
-    return report
 
 
-def suite_prop_removal(*, seeds: int, seed_base: int, **_) -> VerificationReport:
+def suite_prop_removal(*, seeds: int, seed_base: int, **_) -> Rows:
     """Dropping a row of exactly t-1 cells keeps a percolating set percolating."""
-    report = VerificationReport("prop_removal")
     for t in (2, 3):
         bad, checked, found = removal_battery(
             GridShape((5, 5)), Params(t, 2), seeds, seed_base
         )
-        report.add_tally(
+        yield _tally_row(
             "thin-row-removal",
             f"(5,5) t={t} r=2 x{found} ({checked} removals)",
             bad,
             found >= seeds,
         )
-    return report
 
 
-def suite_prop4_4(*, seeds: int, seed_base: int, **_) -> VerificationReport:
+def suite_prop4_4(*, seeds: int, seed_base: int, **_) -> Rows:
     """Shifts never change the closure; at t = r = 2 every normalized
     percolating set contains row 1 and column 1 entirely."""
-    report = VerificationReport("prop4_4")
     # Half the seeds per battery, but never none.
     half = max(1, seeds // 2)
     for dims, t in (((4, 4), 2), ((4, 4), 3)):
         bad, checked = shift_invariance_battery(
             GridShape(dims), Params(t, 2), half, seed_base
         )
-        report.add_tally(
+        yield _tally_row(
             "shift-invariance", f"{dims} t={t} r=2 x{half} ({checked} shifts)", bad
         )
     bad, n = normal_form_battery(GridShape((5, 5)), seeds, seed_base)
-    report.add_tally("normal-form-rows", f"(5,5) t=2 r=2 x{n}", bad)
-    return report
+    yield _tally_row("normal-form-rows", f"(5,5) t=2 r=2 x{n}", bad)
 
 
-def suite_closure_laws(*, seeds: int, step_seeds: int, seed_base: int, **_) -> VerificationReport:
+def suite_closure_laws(*, seeds: int, step_seeds: int, seed_base: int, **_) -> Rows:
     """Closure-operator laws, step order independence, 2D block structure."""
-    report = VerificationReport("closure_laws")
     configs = (
         ((4, 4), 2, 2),
         ((5, 5), 3, 2),
@@ -407,30 +409,25 @@ def suite_closure_laws(*, seeds: int, step_seeds: int, seed_base: int, **_) -> V
         out = closure_laws_battery(
             GridShape(dims), Params(t, r), seeds, step_seeds, seed_base
         )
-        report.add_tally(
+        yield _tally_row(
             "closure-laws",
             f"{dims} t={t} r={r} x{seeds} ({step_seeds} step seeds)",
             sum(out.values()),
         )
     bad, n = structure_battery(GridShape((5, 5)), Params(2, 2), seeds, seed_base)
-    report.add_tally("closure-block-structure", f"(5,5) t=2 r=2 x{n}", bad)
-    return report
+    yield _tally_row("closure-block-structure", f"(5,5) t=2 r=2 x{n}", bad)
 
 
-def suite_formula_vs_oracle(*, budget: int, **_) -> VerificationReport:
+def suite_formula_vs_oracle(*, budget: int, **_) -> Rows:
     """Search minima agree with the closed form; the direct count of the L
     set agrees with the closed form on the whole small-parameter grid."""
-    report = VerificationReport("formula_vs_oracle")
     matrix = [((n1, n2), 2, 2) for n1, n2 in product(range(1, 5), repeat=2)]
     matrix += [((2, 2, 2), 2, 2), ((2, 2, 3), 2, 2), ((2, 2, 2), 2, 1), ((2, 2, 2), 2, 3)]
     for dims, t, r in matrix:
         res = min_percolating_size(GridShape(dims), Params(t, r), budget=budget)
         expected = m_formula(GridShape(dims), Params(t, r)).total
-        report.add_search("oracle-vs-formula", f"{dims} t={t} r={r}", expected, res)
-    for dims in ((3, 3), (3, 4)):
-        res = min_one_phase_size(GridShape(dims), Params(3, 2), budget=budget)
-        expected = (dims[0] + dims[1]) * 2 - 4
-        report.add_search("one-phase-oracle-vs-bound", f"{dims} t=3 r=2", expected, res)
+        yield _search_row("oracle-vs-formula", f"{dims} t={t} r={r}", expected, res)
+    yield from _one_phase_rows("one-phase-oracle-vs-bound", budget)
     bad, total = _tally(
         l_set_cardinality(shape, params) == m_formula(shape, params).total
         for d in range(1, 5)
@@ -439,11 +436,10 @@ def suite_formula_vs_oracle(*, budget: int, **_) -> VerificationReport:
         for r in range(1, d + 1)
         for shape, params in [(GridShape(dims), Params(t, r))]
     )
-    report.add_tally("l-set-count-vs-formula", f"d<=4 t<=4 n<=6 ({total} tuples)", bad)
-    return report
+    yield _tally_row("l-set-count-vs-formula", f"d<=4 t<=4 n<=6 ({total} tuples)", bad)
 
 
-SUITES: dict[str, Callable[..., VerificationReport]] = {
+SUITES: dict[str, Callable[..., Rows]] = {
     "prop2_2": suite_prop2_2,
     "thm3_1": suite_thm3_1,
     "thm2_7": suite_thm2_7,
@@ -455,13 +451,18 @@ SUITES: dict[str, Callable[..., VerificationReport]] = {
 }
 
 
-def run_suite(name: str, **kwargs) -> VerificationReport:
-    """Run suite `name`; each option of SUITE_DEFAULTS not given takes its default."""
+def run_suite(name: str, **options) -> VerificationReport:
+    """Run suite `name` and build its report from the rows it yields. It
+    takes only the options of SUITE_DEFAULTS, each an integer (`as_int`);
+    one not given takes its default."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    opts = {**SUITE_DEFAULTS, **kwargs}
+    opts = {key: as_int(options.pop(key, value)) for key, value in SUITE_DEFAULTS.items()}
+    # What the defaults did not take is not an option.
+    for key in options:
+        raise TypeError(f"run_suite() got an unexpected keyword argument {key!r}")
     # A count below its floor would check nothing and still report PASS.
-    for key, least in (("seeds", 1), ("step_seeds", 1), ("n_cap", 2)):
+    for key, least in (("seeds", 1), ("step_seeds", 1), ("n_cap", 2), ("budget", 0)):
         if opts[key] < least:
             raise ValueError(f"{key} must be at least {least}, got {opts[key]}")
-    return SUITES[name](**opts)
+    return VerificationReport(name, list(SUITES[name](**opts)))

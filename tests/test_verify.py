@@ -5,7 +5,17 @@ import pytest
 from boxperc import cli, jsonio
 from boxperc.engine import all_edges
 from boxperc.lattice import CellSet, GridShape, Params, cell_count, edge_vertices
-from boxperc.verify import SUITES, run_suite, shift_invariance_battery
+from boxperc.verify import (
+    SUITE_DEFAULTS,
+    SUITES,
+    VerificationReport,
+    VerificationRow,
+    run_suite,
+    shift_invariance_battery,
+)
+
+# Options small enough that a suite run by mistake stays quick.
+CHEAP = {"seeds": 2, "step_seeds": 1, "n_cap": 2}
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -38,6 +48,45 @@ def test_budget_overrun_skips_without_failing():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nope")
+
+
+def test_suites_yield_the_rows_run_suite_reports():
+    opts = {**SUITE_DEFAULTS, **CHEAP}
+    for name, suite in SUITES.items():
+        rows = list(suite(**opts))
+        assert rows and all(isinstance(row, VerificationRow) for row in rows)
+        assert run_suite(name, **CHEAP) == VerificationReport(name, rows)
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_run_suite_rejects_a_misspelt_option_by_name(name):
+    with pytest.raises(TypeError, match="unexpected keyword argument 'seed'"):
+        run_suite(name, seed=5, **CHEAP)
+
+
+@pytest.mark.parametrize("name,key,value", [
+    ("lemma_union", "seeds", True),
+    ("prop2_2", "seeds", 2.0),
+    ("prop2_2", "seed_base", 1.5),
+    ("thm3_1", "n_cap", 3.0),
+    ("prop4_4", "step_seeds", True),
+    ("closure_laws", "budget", 10.0),
+])
+def test_run_suite_reads_each_option_as_an_exact_integer(name, key, value):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        run_suite(name, **{**CHEAP, key: value})
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_run_suite_rejects_a_negative_budget(name):
+    with pytest.raises(ValueError, match="budget must be at least 0, got -1"):
+        run_suite(name, budget=-1, **CHEAP)
+
+
+def test_verify_command_rejects_a_negative_budget_on_a_suite_without_searches(capsys):
+    rc = cli.main(["verify", "--suite", "lemma_union", "--seeds", "1", "--budget", "-5"])
+    assert rc == cli.EXIT_INVALID
+    assert "budget must be at least 0" in capsys.readouterr().err
 
 
 def naive_shift_count(shape, params, seeds, seed_base):
